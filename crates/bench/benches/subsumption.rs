@@ -615,7 +615,7 @@ fn gate_tolerance(name: &str) -> f64 {
     }
     if name.starts_with("coalesced/") {
         // Gated since graduation, at the widest slack: thread spawn/join
-        // and batcher timer behavior dominate on small machines.
+        // and batcher wake-ups dominate on small machines.
         return 0.35;
     }
     if name.starts_with("learn/") {

@@ -5,11 +5,17 @@
 //! (snapshot load, builder construction, worker fan-out) for a single
 //! example. The [`Coalescer`] turns that shape back into batches: callers
 //! enqueue requests on a bounded MPSC queue and block on a private reply
-//! channel; a dedicated batcher thread drains up to
-//! [`CoalesceConfig::max_coalesce`] requests (lingering at most
-//! [`CoalesceConfig::max_wait`] for stragglers), groups them by [`Budget`],
-//! issues one [`PredictorService::predict_batch_with`] call per group, and
-//! fans the index-aligned results back to each caller.
+//! channel; a dedicated batcher thread sleeps until the queue is non-empty,
+//! takes everything queued (up to [`CoalesceConfig::max_coalesce`]), groups
+//! it by [`Budget`], issues one [`PredictorService::predict_batch_with`]
+//! call per group, and fans the index-aligned results back to each caller.
+//!
+//! **Drain-on-idle batching:** the batcher never waits for stragglers.
+//! Requests that arrive while a batch is being served queue up and form the
+//! next batch, so batch size follows load on its own: a lone caller is
+//! served at once in batches of one and pays only the service time, while
+//! contending callers coalesce into larger batches because the service call
+//! in flight is exactly the window in which they accumulate.
 //!
 //! **Determinism contract:** serving is a pure function of
 //! `(tuple, model snapshot, budget)` — grounding derives its RNG from the
@@ -30,7 +36,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dlearn_relstore::Tuple;
 
@@ -38,13 +44,15 @@ use crate::error::DlearnError;
 use crate::service::{Budget, PredictorService, ServeResult};
 
 /// Configuration of a [`Coalescer`].
+///
+/// There is no linger or timer: the batcher drains whatever is queued the
+/// moment it is idle, so how many requests share a batch is decided by the
+/// arrival rate relative to the service time, bounded by `max_coalesce`.
 #[derive(Debug, Clone)]
 pub struct CoalesceConfig {
-    /// Maximum requests coalesced into one drained batch.
+    /// Maximum requests coalesced into one drained batch; anything queued
+    /// beyond it waits for the next drain.
     pub max_coalesce: usize,
-    /// How long the batcher lingers for more requests once it holds at
-    /// least one (the added latency ceiling a request can pay for batching).
-    pub max_wait: Duration,
     /// Bound on queued (not yet drained) requests; submitters block when
     /// the queue is full.
     pub queue_capacity: usize,
@@ -54,7 +62,6 @@ impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
             max_coalesce: 32,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 1024,
         }
     }
@@ -71,18 +78,30 @@ pub struct CoalesceMetrics {
     pub coalesced_tuples: u64,
     /// Size of the largest single drained batch.
     pub largest_batch: u64,
-    /// Drains triggered by a full batch (`max_coalesce` reached).
+    /// Drains that took a full batch: `max_coalesce` requests were queued,
+    /// and any beyond them were left for the next drain.
     pub full_drains: u64,
-    /// Drains triggered by the linger timer (`max_wait` elapsed).
+    /// Drains that emptied the queue before reaching `max_coalesce`. With
+    /// drain-on-idle batching this is every drain under light load. The
+    /// name predates the removal of the linger timer; it is kept because
+    /// the end-to-end benchmark (`perfbench`) reports it as
+    /// `coalesce.timer_drain_frac`.
     pub timer_drains: u64,
+    /// Sum, over drained requests, of the time from submit to drain: the
+    /// queueing a request paid before its batch started being served.
+    pub queue_wait_nanos: u64,
+    /// The largest queue length seen at a drain (before taking the batch).
+    pub max_queue_depth: u64,
 }
 
 /// One queued request: the tuple, the caller's budget (`None` = the
-/// service's default), and the channel its result goes back on.
+/// service's default), the channel its result goes back on, and when it
+/// was submitted.
 struct Request {
     tuple: Tuple,
     budget: Option<Budget>,
     reply: mpsc::Sender<ServeResult>,
+    submitted: Instant,
 }
 
 struct Queue {
@@ -102,6 +121,8 @@ struct Inner {
     largest_batch: AtomicU64,
     full_drains: AtomicU64,
     timer_drains: AtomicU64,
+    queue_wait_nanos: AtomicU64,
+    max_queue_depth: AtomicU64,
 }
 
 impl Inner {
@@ -137,80 +158,66 @@ impl Inner {
     }
 
     /// Block until at least one request is queued (or the queue closes and
-    /// drains empty), then collect up to `max_coalesce` requests, lingering
-    /// at most `max_wait` past the first one.
+    /// drains empty), then take up to `max_coalesce` requests at once.
+    /// Whatever arrives after this point forms the next batch.
     fn next_batch(&self) -> Option<Vec<Request>> {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !q.items.is_empty() {
-                break;
-            }
+        while q.items.is_empty() {
             if q.closed {
                 return None;
             }
             q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        let mut batch = Vec::new();
-        let deadline = Instant::now() + self.config.max_wait;
-        let mut full = true;
-        loop {
-            while batch.len() < self.config.max_coalesce {
-                match q.items.pop_front() {
-                    Some(r) => batch.push(r),
-                    None => break,
-                }
-            }
-            if batch.len() >= self.config.max_coalesce {
-                break;
-            }
-            // Linger for stragglers: a request arriving within `max_wait`
-            // rides this batch instead of paying its own service call.
-            let now = Instant::now();
-            if q.closed || now >= deadline {
-                full = false;
-                break;
-            }
-            let (guard, _timeout) = self
-                .not_empty
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-        }
+        let depth = q.items.len();
+        let take = depth.min(self.config.max_coalesce);
+        let batch: Vec<Request> = q.items.drain(..take).collect();
         drop(q);
         self.not_full.notify_all();
-        if full {
+        let drained = Instant::now();
+        let waited: u128 = batch
+            .iter()
+            .map(|r| drained.duration_since(r.submitted).as_nanos())
+            .sum();
+        if take == self.config.max_coalesce {
             self.full_drains.fetch_add(1, Ordering::Relaxed);
         } else {
             self.timer_drains.fetch_add(1, Ordering::Relaxed);
         }
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.coalesced_tuples
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.largest_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
+            .fetch_add(take as u64, Ordering::Relaxed);
+        self.largest_batch.fetch_max(take as u64, Ordering::Relaxed);
+        self.queue_wait_nanos
+            .fetch_add(waited as u64, Ordering::Relaxed);
+        self.max_queue_depth
+            .fetch_max(depth as u64, Ordering::Relaxed);
         Some(batch)
     }
 
     /// Serve one drained batch: group requests by budget (first-occurrence
-    /// order), one `predict_batch_with` call per group, results fanned back
-    /// per request. A caller that gave up waiting just drops its receiver;
-    /// the failed send is ignored.
+    /// order), moving each tuple into its group and keeping the reply
+    /// senders index-aligned with it, then one `predict_batch_with` call per
+    /// group with results fanned back per request. A caller that gave up
+    /// waiting just drops its receiver; the failed send is ignored.
     fn serve(&self, batch: Vec<Request>) {
-        let mut groups: Vec<(Option<Budget>, Vec<usize>)> = Vec::new();
-        for (i, r) in batch.iter().enumerate() {
-            match groups.iter_mut().find(|(b, _)| *b == r.budget) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((r.budget, vec![i])),
+        type Group = (Option<Budget>, Vec<Tuple>, Vec<mpsc::Sender<ServeResult>>);
+        let mut groups: Vec<Group> = Vec::new();
+        for r in batch {
+            match groups.iter_mut().find(|(b, ..)| *b == r.budget) {
+                Some((_, tuples, replies)) => {
+                    tuples.push(r.tuple);
+                    replies.push(r.reply);
+                }
+                None => groups.push((r.budget, vec![r.tuple], vec![r.reply])),
             }
         }
-        for (budget, members) in groups {
-            let tuples: Vec<Tuple> = members.iter().map(|&i| batch[i].tuple.clone()).collect();
+        for (budget, tuples, replies) in groups {
             let results = match budget {
                 Some(b) => self.service.predict_batch_with(&tuples, &b),
                 None => self.service.predict_batch(&tuples),
             };
-            for (&i, result) in members.iter().zip(results) {
-                let _ = batch[i].reply.send(result);
+            for (reply, result) in replies.iter().zip(results) {
+                let _ = reply.send(result);
             }
         }
     }
@@ -244,7 +251,6 @@ impl Coalescer {
             config: CoalesceConfig {
                 max_coalesce: config.max_coalesce.max(1),
                 queue_capacity: config.queue_capacity.max(1),
-                ..config
             },
             queue: Mutex::new(Queue {
                 items: VecDeque::new(),
@@ -258,6 +264,8 @@ impl Coalescer {
             largest_batch: AtomicU64::new(0),
             full_drains: AtomicU64::new(0),
             timer_drains: AtomicU64::new(0),
+            queue_wait_nanos: AtomicU64::new(0),
+            max_queue_depth: AtomicU64::new(0),
         });
         let worker = inner.clone();
         let batcher = std::thread::Builder::new()
@@ -290,6 +298,7 @@ impl Coalescer {
     pub fn submit_many_with(&self, items: &[(Tuple, Budget)]) -> Vec<ServeResult> {
         let mut receivers = Vec::with_capacity(items.len());
         let mut requests = Vec::with_capacity(items.len());
+        let submitted = Instant::now();
         for (tuple, budget) in items {
             let (tx, rx) = mpsc::channel();
             receivers.push(rx);
@@ -297,6 +306,7 @@ impl Coalescer {
                 tuple: tuple.clone(),
                 budget: Some(*budget),
                 reply: tx,
+                submitted,
             });
         }
         if let Err(e) = self.inner.enqueue(requests) {
@@ -314,6 +324,7 @@ impl Coalescer {
             tuple,
             budget,
             reply: tx,
+            submitted: Instant::now(),
         }])?;
         rx.recv().unwrap_or(Err(DlearnError::CoalescerClosed))
     }
@@ -327,6 +338,8 @@ impl Coalescer {
             largest_batch: self.inner.largest_batch.load(Ordering::Relaxed),
             full_drains: self.inner.full_drains.load(Ordering::Relaxed),
             timer_drains: self.inner.timer_drains.load(Ordering::Relaxed),
+            queue_wait_nanos: self.inner.queue_wait_nanos.load(Ordering::Relaxed),
+            max_queue_depth: self.inner.max_queue_depth.load(Ordering::Relaxed),
         }
     }
 

@@ -298,15 +298,23 @@ fn coalesced_results_are_bit_identical_to_solo_calls() {
         let metrics = coalescer.metrics();
         assert_eq!(metrics.submitted, (callers * 12) as u64, "{metrics:?}");
         assert_eq!(metrics.coalesced_tuples, metrics.submitted, "{metrics:?}");
+        if callers == 8 {
+            // No timer gathers batches: eight callers queue up behind the
+            // batcher while it serves cold-cache misses, so some drain must
+            // take more than one request, or this parity check would pass
+            // with a coalescer that never coalesces.
+            assert!(metrics.largest_batch >= 2, "{metrics:?}");
+        }
     }
 }
 
 #[test]
 fn contiguous_submissions_actually_coalesce_into_one_batch() {
     // `submit_many_with` enqueues under one lock while the batcher sleeps,
-    // so a quiesced coalescer must drain the whole submission as a single
-    // batch — this pins that the coalescing machinery does coalesce (the
-    // parity tests would pass trivially with a batch size of 1).
+    // so a quiesced coalescer must find all eight requests queued at its
+    // next drain and serve them as a single batch — this pins that the
+    // coalescing machinery does coalesce (the parity tests would pass
+    // trivially with a batch size of 1).
     let fx = fixture();
     let service = Arc::new(PredictorService::new(
         fx.engine.predictor(&fx.learned).expect("bind predictor"),
@@ -329,4 +337,6 @@ fn contiguous_submissions_actually_coalesce_into_one_batch() {
     assert_eq!(metrics.largest_batch, 8, "{metrics:?}");
     assert_eq!(metrics.batches, 1, "{metrics:?}");
     assert_eq!(metrics.full_drains + metrics.timer_drains, 1, "{metrics:?}");
+    assert_eq!(metrics.max_queue_depth, 8, "{metrics:?}");
+    assert!(metrics.queue_wait_nanos > 0, "{metrics:?}");
 }
