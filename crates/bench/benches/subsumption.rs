@@ -15,7 +15,9 @@
 //! similarity-index construction on a ~1k×1k dirty vocabulary (length
 //! filter + top-k early exit + parallel fan-out) — plus the serving pair
 //! `predict_loop`/`predict_batch`, per-example prediction vs the batched
-//! `Predictor` entry point on a repetition-heavy trace.
+//! `Predictor` entry point on a repetition-heavy trace — plus the grounding
+//! pair `ground_example_build`/`repaired_clauses`, one labelled example's
+//! full grounding next to its repaired-clause expansion alone.
 //!
 //! A second group, `scaling`, measures the hot paths at ~3 sizes each so
 //! the committed baseline records curve *shape*, not just one point:
@@ -50,11 +52,13 @@ use rand::SeedableRng;
 
 use dlearn_constraints::MdCatalog;
 use dlearn_core::{
-    generalize_prepared, BottomClauseBuilder, CoverageEngine, LearnerConfig, PreparedClause,
+    generalize_prepared, BottomClauseBuilder, CoverageEngine, GroundExample, LearnerConfig,
+    PreparedClause,
 };
 use dlearn_datagen::{generate_movie_dataset, MovieConfig};
 use dlearn_logic::{
-    subsumes_numbered_decision, Clause, GroundClause, NumberedClause, SubsumptionConfig,
+    repaired_clauses, subsumes_numbered_decision, Clause, GroundClause, NumberedClause,
+    SubsumptionConfig,
 };
 use dlearn_similarity::{IndexConfig, SimilarityIndex, SimilarityOperator};
 use dlearn_test_support::backtracking_heavy_pair;
@@ -149,6 +153,25 @@ fn bench_subsumption(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(7);
             criterion::black_box(builder.build(&task.positives[0], &mut rng))
         })
+    });
+    // Grounding one labelled example end to end (bottom clause, indexing,
+    // repaired-clause expansion), and the expansion alone, on the first
+    // labelled example whose ground clause carries repair groups: the
+    // expansion is most of a grounding's cost.
+    let (repair_example, repair_ground) = task
+        .positives
+        .iter()
+        .chain(&task.negatives)
+        .find_map(|e| {
+            let clause = builder.build(e, &mut StdRng::seed_from_u64(11));
+            (!clause.repairs.is_empty()).then_some((e, clause))
+        })
+        .expect("some movie example grounds with repair groups");
+    group.bench_function("repaired_clauses", |b| {
+        b.iter(|| criterion::black_box(repaired_clauses(&repair_ground, config.expand_limits())))
+    });
+    group.bench_function("ground_example_build", |b| {
+        b.iter(|| criterion::black_box(GroundExample::build(&builder, repair_example, &config, 11)))
     });
     // Similarity-index construction on a realistic dirty vocabulary
     // (~1k×1k distinct values): the layer the eval harness rebuilds per

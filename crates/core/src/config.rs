@@ -1,6 +1,7 @@
 //! Learner configuration.
 
 use dlearn_logic::subsumption::SubsumptionConfig;
+use dlearn_logic::ExpandLimits;
 
 /// All tunable parameters of the learner.
 ///
@@ -103,6 +104,16 @@ impl LearnerConfig {
             max_repaired_clauses: 6,
             max_clauses: 4,
             ..LearnerConfig::default()
+        }
+    }
+
+    /// Limits for expanding a clause into its repaired clauses: at most
+    /// `max_repaired_clauses` results, under the default step cap. Ground
+    /// examples and prepared candidate clauses both expand under these.
+    pub fn expand_limits(&self) -> ExpandLimits {
+        ExpandLimits {
+            max_repairs: self.max_repaired_clauses,
+            ..ExpandLimits::default()
         }
     }
 

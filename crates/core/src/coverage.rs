@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 use dlearn_logic::{
     repaired_clauses, subsumes_numbered_decision, subsumes_numbered_decision_controlled,
-    CancelToken, Clause, Decision, ExpandLimits, GroundClause, NumberedClause,
+    CancelToken, Clause, Decision, GroundClause, NumberedClause,
 };
 use dlearn_relstore::Tuple;
 
@@ -56,11 +56,7 @@ impl GroundExample {
 
     /// Wrap an already-built ground bottom clause.
     pub fn from_clause(example: Tuple, clause: &Clause, config: &LearnerConfig) -> Self {
-        let limits = ExpandLimits {
-            max_repairs: config.max_repaired_clauses,
-            max_steps: 2048,
-        };
-        let repaired = repaired_clauses(clause, limits)
+        let repaired = repaired_clauses(clause, config.expand_limits())
             .iter()
             .map(GroundClause::new)
             .collect();
@@ -93,11 +89,7 @@ impl PreparedClause {
     /// Expand the candidate's repaired clauses and assign variable
     /// numberings.
     pub fn prepare(clause: Clause, config: &LearnerConfig) -> Self {
-        let limits = ExpandLimits {
-            max_repairs: config.max_repaired_clauses,
-            max_steps: 2048,
-        };
-        let repaired = repaired_clauses(&clause, limits);
+        let repaired = repaired_clauses(&clause, config.expand_limits());
         let numbered = NumberedClause::new(&clause);
         let numbered_repaired = repaired.iter().map(NumberedClause::new).collect();
         PreparedClause {

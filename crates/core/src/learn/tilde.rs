@@ -220,12 +220,13 @@ impl Refiner for TildeRefiner {
             if !emitted.insert(measured.clause.canonical_string()) {
                 continue;
             }
-            // Same decisiveness bar as the leaf rule, but on the clause's
-            // *real* coverage: the path clause covers a superset of the
-            // leaf's examples (failed no-branch tests are not in its body),
-            // so a leaf that looked pure can measure dirty.
+            // Same majority bar as the leaf rule (and the covering loop's
+            // `accept_clause`), but on the clause's *real* coverage: the
+            // path clause covers a superset of the leaf's examples (failed
+            // no-branch tests are not in its body), so a leaf that looked
+            // pure can measure dirty.
             if measured.positives_covered >= MIN_LEAF_POSITIVES
-                && measured.positives_covered > 2 * measured.negatives_covered
+                && measured.positives_covered > measured.negatives_covered
             {
                 definition.push(measured.clause);
                 stats.push(ClauseStats {
@@ -299,13 +300,15 @@ fn grow(
     if pos.is_empty() {
         return; // Negative leaf.
     }
-    // A positive leaf must be decisively positive: enough support and at
-    // most half as many negatives as positives. Emitting looser majority
-    // leaves trades held-out precision for training recall — a bad trade,
-    // since the emitted clause generalizes to everything satisfying the
-    // path's tests, not just the node's examples.
+    // A positive leaf needs enough support and a positive majority, the
+    // C4.5 leaf label. A stricter bar (say, twice as many positives as
+    // negatives) rejects the only leaf a small task can reach: with three
+    // positives, an unsplittable node holding two negatives would yield
+    // nothing at all. Impure leaves are not emitted as they stand: the
+    // read-back below first conjoins tests to drive their real negative
+    // coverage down.
     let leaf = |paths: &mut Vec<Vec<usize>>| {
-        if pos.len() >= MIN_LEAF_POSITIVES && pos.len() > 2 * neg.len() && !path.is_empty() {
+        if pos.len() >= MIN_LEAF_POSITIVES && pos.len() > neg.len() && !path.is_empty() {
             paths.push(path.to_vec());
         }
     };

@@ -766,7 +766,14 @@ impl PredictorService {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(DlearnError::DeadlineExceeded { budget_ms });
         }
-        let key = example.to_string();
+        // Fault checkpoints name the example; a build without the harness
+        // renders nothing on this per-request path.
+        #[cfg(feature = "fault-injection")]
+        let rendered = example.to_string();
+        #[cfg(feature = "fault-injection")]
+        let key = rendered.as_str();
+        #[cfg(not(feature = "fault-injection"))]
+        let key = "";
 
         let cached = self.cache_get(example, model.epoch);
         let (ground, fresh) = match cached {
@@ -778,7 +785,7 @@ impl PredictorService {
                 self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
                 // Budget exhaustion is a coverage-site fault; at grounding
                 // only panics and delays apply, both executed inside.
-                let _ = fault::checkpoint(fault::Site::Grounding, &key);
+                let _ = fault::checkpoint(fault::Site::Grounding, key);
                 let g = Arc::new(model.predictor.ground_for_serving(builder, example));
                 (g, true)
             }
@@ -790,7 +797,7 @@ impl PredictorService {
             return Err(DlearnError::DeadlineExceeded { budget_ms });
         }
 
-        let coverage_action = fault::checkpoint(fault::Site::Coverage, &key);
+        let coverage_action = fault::checkpoint(fault::Site::Coverage, key);
         // A stall before the search (the checkpoint above can sleep) may
         // burn the whole deadline in one place; the in-search poll only
         // fires every `CANCEL_CHECK_INTERVAL` steps, so a short search

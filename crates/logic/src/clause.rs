@@ -1,6 +1,6 @@
 //! Horn clauses with repair groups, and Horn definitions.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use crate::literal::Literal;
@@ -14,7 +14,7 @@ use crate::term::{Term, Var};
 /// construction order (which doubles as the total order used by the
 /// generalization algorithm); `repairs` holds the clause's repair literals
 /// grouped by repair operation (see [`RepairGroup`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Clause {
     /// Head literal (always a relation literal).
     pub head: Literal,
@@ -89,20 +89,33 @@ impl Clause {
     /// trivially true equality literals (`x = x`) that the substitution may
     /// create and deduplicating body literals.
     pub fn apply(&self, subst: &Substitution) -> Clause {
-        let head = self.head.apply(subst);
-        let mut body: Vec<Literal> = Vec::with_capacity(self.body.len());
-        for l in &self.body {
-            let nl = l.apply(subst);
-            if let Literal::Equal(a, b) = &nl {
-                if a == b {
-                    continue;
-                }
-            }
-            if !body.contains(&nl) {
-                body.push(nl);
-            }
-        }
-        let repairs = self.repairs.iter().map(|g| g.apply(subst)).collect();
+        Clause::substituted(&self.head, &self.body, &self.repairs, subst)
+    }
+
+    /// [`Clause::apply`] over the given parts of a clause, so a caller that
+    /// drops some literals or groups first need not clone the rest.
+    pub(crate) fn substituted<'a>(
+        head: &Literal,
+        body: impl IntoIterator<Item = &'a Literal>,
+        repairs: impl IntoIterator<Item = &'a RepairGroup>,
+        subst: &Substitution,
+    ) -> Clause {
+        let head = head.apply(subst);
+        let mut body: Vec<Literal> = body
+            .into_iter()
+            .map(|l| l.apply(subst))
+            .filter(|l| !matches!(l, Literal::Equal(a, b) if a == b))
+            .collect();
+        // Keep the first occurrence of each literal.
+        let mut seen: HashSet<&Literal> = HashSet::with_capacity(body.len());
+        let first: Vec<bool> = body.iter().map(|l| seen.insert(l)).collect();
+        drop(seen);
+        let mut at = 0;
+        body.retain(|_| {
+            at += 1;
+            first[at - 1]
+        });
+        let repairs = repairs.into_iter().map(|g| g.apply(subst)).collect();
         Clause {
             head,
             body,
@@ -115,60 +128,87 @@ impl Clause {
     /// head-connected literal), then drop repair groups that are no longer
     /// connected to any remaining relation literal or the head.
     pub fn retain_head_connected(&mut self) {
-        let mut connected: BTreeSet<Var> = self.head.variables();
-        let mut kept = vec![false; self.body.len()];
-        // Fixpoint over body literals.
-        loop {
-            let mut changed = false;
-            for (i, l) in self.body.iter().enumerate() {
-                if kept[i] {
-                    continue;
-                }
-                let vars = l.variables();
-                if vars.is_empty() {
-                    // Fully ground literal: keep (it is trivially connected
-                    // through constants that came from the example walk).
-                    kept[i] = true;
-                    changed = true;
-                    continue;
-                }
-                if vars.iter().any(|v| connected.contains(v)) {
-                    kept[i] = true;
-                    connected.extend(vars);
-                    changed = true;
-                }
+        // Variable-indexed table: `vars` holds the head and body variables
+        // sorted and unique (a variable's slot is its position), and
+        // `occurrences` the (variable, body index) pairs sorted so the
+        // literals mentioning one variable form one run.
+        let mut occurrences: Vec<(Var, usize)> = self
+            .body
+            .iter()
+            .enumerate()
+            .flat_map(|(i, l)| l.vars().map(move |v| (v, i)))
+            .collect();
+        occurrences.sort_unstable();
+        let mut vars: Vec<Var> = self
+            .head
+            .vars()
+            .chain(occurrences.iter().map(|&(v, _)| v))
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let slot = |v: Var| {
+            vars.binary_search(&v)
+                .expect("every head and body variable has a slot")
+        };
+
+        // One worklist pass from the head variables. Fully ground literals
+        // are kept: they are trivially connected through constants that
+        // came from the example walk.
+        let mut kept: Vec<bool> = self
+            .body
+            .iter()
+            .map(|l| l.vars().next().is_none())
+            .collect();
+        let mut connected = vec![false; vars.len()];
+        let mut worklist: Vec<Var> = self.head.vars().collect();
+        while let Some(v) = worklist.pop() {
+            if std::mem::replace(&mut connected[slot(v)], true) {
+                continue;
             }
-            if !changed {
-                break;
+            let run = occurrences.partition_point(|&(w, _)| w < v);
+            for &(_, i) in occurrences[run..].iter().take_while(|&&(w, _)| w == v) {
+                if !std::mem::replace(&mut kept[i], true) {
+                    worklist.extend(self.body[i].vars());
+                }
             }
         }
-        let mut idx = 0;
-        self.body.retain(|_| {
-            let keep = kept[idx];
-            idx += 1;
-            keep
-        });
+
         // Section 3.2 cleanup: similarity/equality/inequality literals whose
         // variables no longer appear in the head or in any schema relation
         // literal constrain nothing and are dropped.
-        let mut schema_vars: BTreeSet<Var> = self.head.variables();
-        for l in &self.body {
-            if l.is_relation() {
-                schema_vars.extend(l.variables());
+        let mut schema = vec![false; vars.len()];
+        let mut live = vec![false; vars.len()];
+        for v in self.head.vars() {
+            schema[slot(v)] = true;
+            live[slot(v)] = true;
+        }
+        for (l, _) in self
+            .body
+            .iter()
+            .zip(&kept)
+            .filter(|(l, &k)| k && l.is_relation())
+        {
+            l.vars().for_each(|v| schema[slot(v)] = true);
+        }
+        let mut at = 0;
+        self.body.retain(|l| {
+            at += 1;
+            let keep = kept[at - 1] && (l.is_relation() || l.vars().all(|v| schema[slot(v)]));
+            if keep {
+                l.vars().for_each(|v| live[slot(v)] = true);
             }
-        }
-        self.body
-            .retain(|l| l.is_relation() || l.variables().iter().all(|v| schema_vars.contains(v)));
-        // Repair groups must stay connected to the surviving literals.
-        let mut live_vars: BTreeSet<Var> = self.head.variables();
-        for l in &self.body {
-            live_vars.extend(l.variables());
-        }
-        // A repair survives only while every variable it replaces is still in
-        // the clause: an MD repair that lost one side of its match (because
-        // the literal carrying it was dropped) can no longer unify anything.
-        self.repairs
-            .retain(|g| g.targets().iter().all(|v| live_vars.contains(v)));
+            keep
+        });
+        // Repair groups must stay connected to the surviving literals: an MD
+        // repair that lost one side of its match (because the literal
+        // carrying it was dropped) can no longer unify anything, so a repair
+        // survives only while every variable it replaces is still in the
+        // clause.
+        self.repairs.retain(|g| {
+            g.replacements
+                .iter()
+                .all(|(v, _)| vars.binary_search(v).is_ok_and(|s| live[s]))
+        });
     }
 
     /// Remove the body literal at `index` along with repair groups whose only
@@ -184,23 +224,20 @@ impl Clause {
 
     /// A canonical string form: variables renamed by first appearance and the
     /// body sorted, used to deduplicate logically identical repaired clauses.
+    ///
+    /// Two rounds of renaming and sorting; each literal is rendered once per
+    /// round, and the second round's renderings are the body of the string.
     pub fn canonical_string(&self) -> String {
-        let mut clause = self.clone();
-        for _ in 0..2 {
-            let renaming = clause.first_appearance_renaming();
-            clause = clause.apply(&renaming);
-            clause.body.sort_by_key(|l| l.to_string());
-        }
+        let mut clause = self.apply(&self.first_appearance_renaming());
+        clause.body.sort_by_cached_key(|l| l.to_string());
+        let clause = clause.apply(&clause.first_appearance_renaming());
+        // Equal keys render identically, so sorting the renderings yields
+        // exactly the string of the sorted body.
+        let mut body: Vec<String> = clause.body.iter().map(|l| l.to_string()).collect();
+        body.sort_unstable();
         let mut s = clause.head.to_string();
         s.push_str(" <- ");
-        s.push_str(
-            &clause
-                .body
-                .iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
+        s.push_str(&body.join(", "));
         for g in &clause.repairs {
             s.push_str(" & ");
             s.push_str(&g.render());
@@ -211,26 +248,24 @@ impl Clause {
     fn first_appearance_renaming(&self) -> Substitution {
         let mut renaming = Substitution::new();
         let mut next = 0u32;
-        let visit = |term: &Term, renaming: &mut Substitution, next: &mut u32| {
-            if let Some(v) = term.as_var() {
-                if renaming.get(v).is_none() {
-                    renaming.bind(v, Term::var(*next));
-                    *next += 1;
-                }
+        let mut visit = |v: Var| {
+            if renaming.get(v).is_none() {
+                renaming.bind(v, Term::var(next));
+                next += 1;
             }
         };
-        for t in self.head.args() {
-            visit(t, &mut renaming, &mut next);
+        for v in self.head.vars() {
+            visit(v);
         }
         for l in &self.body {
-            for t in l.args() {
-                visit(t, &mut renaming, &mut next);
-            }
+            l.vars().for_each(&mut visit);
         }
         for g in &self.repairs {
-            for (v, t) in &g.replacements {
-                visit(&Term::Var(*v), &mut renaming, &mut next);
-                visit(t, &mut renaming, &mut next);
+            for &(v, t) in &g.replacements {
+                visit(v);
+                if let Some(w) = t.as_var() {
+                    visit(w);
+                }
             }
         }
         renaming

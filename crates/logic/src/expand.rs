@@ -5,14 +5,32 @@
 //! condition holds it is applied (its replacements are substituted through
 //! the clause), otherwise it is simply discarded — until none are left.
 //! Different application orders may produce different repaired clauses
-//! (Example 3.3), so the expansion explores orders, pruning orders that lead
-//! to already-seen results and applying *independent* repairs (sharing no
-//! variables with other applicable repairs) eagerly since their order cannot
-//! matter.
+//! (Example 3.3), so the expansion explores orders depth-first. An
+//! *independent* repair (sharing no variables with the other applicable
+//! repairs) is applied eagerly without branching, since its order cannot
+//! matter. Finished clauses are cleaned to their head-connected part and
+//! deduplicated by canonical form, in the order the search reaches them.
+//!
+//! Different orders often reach the same intermediate clause (applying `a`
+//! then `b` and `b` then `a`). The search memoizes every clause it expands,
+//! keyed on the whole clause (head, body and repair groups) by structural
+//! hash and exact comparison. Every successor has fewer repair groups, so a
+//! clause never recurs inside its own subtree: when the search meets an
+//! expanded clause again, that subtree has been explored to the end, and it
+//! is skipped, since it could only produce clauses already found. Likewise a
+//! finished clause identical (after cleanup) to an earlier one is dropped
+//! without rendering its canonical form. The memo lives for one call.
+//!
+//! `max_steps` counts the clauses the search pops, and a skipped clause is
+//! charged every pop its first expansion took. Both caps therefore cut at
+//! the same point as in a search without the memo, and the output, order
+//! included, is the same.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::clause::Clause;
+use crate::literal::Literal;
+use crate::term::Var;
 
 /// Limits for repaired-clause expansion.
 #[derive(Debug, Clone, Copy)]
@@ -27,9 +45,18 @@ impl Default for ExpandLimits {
     fn default() -> Self {
         ExpandLimits {
             max_repairs: 16,
-            max_steps: 1024,
+            max_steps: 2048,
         }
     }
+}
+
+/// One entry of the depth-first stack.
+enum Frame {
+    /// A clause to pop and expand.
+    Visit(Clause),
+    /// The end of `state`'s subtree: popped once everything pushed after it
+    /// has been. `opened_at` is the step count when `state` was popped.
+    Close { state: Clause, opened_at: usize },
 }
 
 /// Enumerate the repaired clauses of `clause`, up to the given limits.
@@ -38,21 +65,41 @@ impl Default for ExpandLimits {
 /// groups expands to itself.
 pub fn repaired_clauses(clause: &Clause, limits: ExpandLimits) -> Vec<Clause> {
     let mut results: Vec<Clause> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut stack: Vec<Clause> = vec![clause.clone()];
+    let mut canonical: HashSet<String> = HashSet::new();
+    // Every finished clause met so far, whether it was new or not.
+    let mut finished_seen: HashSet<Clause> = HashSet::new();
+    // Expanded clauses, each with the steps its subtree took.
+    let mut expanded: HashMap<Clause, usize> = HashMap::new();
+    let mut stack = vec![Frame::Visit(clause.clone())];
     let mut steps = 0usize;
 
-    while let Some(current) = stack.pop() {
-        steps += 1;
+    while let Some(frame) = stack.pop() {
+        let current = match frame {
+            Frame::Visit(current) => current,
+            Frame::Close { state, opened_at } => {
+                expanded.insert(state, steps - opened_at + 1);
+                continue;
+            }
+        };
+        steps = steps.saturating_add(1);
         if steps > limits.max_steps || results.len() >= limits.max_repairs {
             break;
         }
         if current.repairs.is_empty() {
             let mut finished = current;
             finished.retain_head_connected();
-            if seen.insert(finished.canonical_string()) {
-                results.push(finished);
+            if !finished_seen.contains(&finished) {
+                if canonical.insert(finished.canonical_string()) {
+                    results.push(finished.clone());
+                }
+                finished_seen.insert(finished);
             }
+            continue;
+        }
+        if let Some(&cost) = expanded.get(&current) {
+            // A clause is expanded again only after its first subtree has
+            // closed: every successor has fewer repair groups.
+            steps = steps.saturating_add(cost - 1);
             continue;
         }
         let applicable: Vec<usize> = current
@@ -67,28 +114,31 @@ pub fn repaired_clauses(clause: &Clause, limits: ExpandLimits) -> Vec<Clause> {
             // No repair can fire: discard all remaining repair groups.
             let mut c = current;
             c.repairs.clear();
-            stack.push(c);
+            stack.push(Frame::Visit(c));
             continue;
         }
 
         // Repairs that share no variables with any *other* applicable repair
         // can be applied in any order with the same outcome; fire the first
         // such repair without branching.
-        let independent = applicable.iter().copied().find(|&i| {
-            let vars_i = current.repairs[i].variables();
-            applicable
+        let vars: Vec<BTreeSet<Var>> = applicable
+            .iter()
+            .map(|&i| current.repairs[i].variables())
+            .collect();
+        let independent = (0..applicable.len())
+            .find(|&a| (0..applicable.len()).all(|b| b == a || vars[a].is_disjoint(&vars[b])));
+        let successors: Vec<Clause> = match independent {
+            Some(a) => vec![apply_repair(&current, applicable[a])],
+            None => applicable
                 .iter()
-                .all(|&j| j == i || current.repairs[j].variables().is_disjoint(&vars_i))
-        });
-
-        let branch_targets: Vec<usize> = match independent {
-            Some(i) => vec![i],
-            None => applicable,
+                .map(|&i| apply_repair(&current, i))
+                .collect(),
         };
-
-        for &i in &branch_targets {
-            stack.push(apply_repair(&current, i));
-        }
+        stack.push(Frame::Close {
+            state: current,
+            opened_at: steps,
+        });
+        stack.extend(successors.into_iter().map(Frame::Visit));
     }
 
     if results.is_empty() {
@@ -108,26 +158,25 @@ pub fn repaired_clauses(clause: &Clause, limits: ExpandLimits) -> Vec<Clause> {
 /// everywhere (including the other groups' conditions), and the group itself
 /// is dropped.
 fn apply_repair(clause: &Clause, index: usize) -> Clause {
-    let mut c = clause.clone();
-    let group = c.repairs.remove(index);
-    let targets = group.targets();
+    let group = &clause.repairs[index];
     // Remove the literals the repair consumes, plus similarity literals that
     // mention a replaced variable: after unification the replaced variable
     // stands for a fresh (repaired) value, so similarity facts about its old
     // value are stale. This is what makes conflicting repairs of the same
     // variable mutually exclusive (paper Example 3.3: a dirty title can be
     // unified with only one of its candidate matches per repaired clause).
-    c.body.retain(|l| {
-        if group.consumes.contains(l) {
-            return false;
-        }
-        if matches!(l, crate::literal::Literal::Similar(_, _)) {
-            return !l.variables().iter().any(|v| targets.contains(v));
-        }
-        true
+    let replaced = |v: Var| group.replacements.iter().any(|&(t, _)| t == v);
+    let body = clause.body.iter().filter(|l| {
+        let stale = matches!(l, Literal::Similar(_, _)) && l.vars().any(replaced);
+        !stale && !group.consumes.contains(l)
     });
-    let subst = group.substitution();
-    c.apply(&subst)
+    let others = clause
+        .repairs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != index)
+        .map(|(_, g)| g);
+    Clause::substituted(&clause.head, body, others, &group.substitution())
 }
 
 #[cfg(test)]

@@ -77,7 +77,21 @@ impl Literal {
 
     /// Variables occurring in the literal.
     pub fn variables(&self) -> BTreeSet<Var> {
-        self.args().into_iter().filter_map(|t| t.as_var()).collect()
+        self.vars().collect()
+    }
+
+    /// The variable arguments in argument order (repeats included), without
+    /// allocating.
+    pub(crate) fn vars(&self) -> impl Iterator<Item = Var> + '_ {
+        let (args, pair): (&[Term], Option<[&Term; 2]>) = match self {
+            Literal::Relation { args, .. } => (args, None),
+            Literal::Similar(a, b) | Literal::Equal(a, b) | Literal::NotEqual(a, b) => {
+                (&[], Some([a, b]))
+            }
+        };
+        args.iter()
+            .chain(pair.into_iter().flatten())
+            .filter_map(Term::as_var)
     }
 
     /// Apply a substitution, producing a new literal.
@@ -95,7 +109,7 @@ impl Literal {
 
     /// `true` when the literal mentions the variable.
     pub fn mentions(&self, var: Var) -> bool {
-        self.args().into_iter().any(|t| t.as_var() == Some(var))
+        self.vars().any(|v| v == var)
     }
 
     /// A sort key used to keep clause bodies in a deterministic order:

@@ -131,7 +131,7 @@ impl fmt::Display for CondAtom {
 }
 
 /// A repair group: the unit in which repair literals are applied to a clause.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RepairGroup {
     /// The constraint that induced this repair.
     pub origin: RepairOrigin,

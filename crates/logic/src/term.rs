@@ -68,7 +68,7 @@ impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Const(c) => write!(f, "{}", c.render()),
+            Term::Const(c) => c.write_rendered(f),
         }
     }
 }

@@ -74,17 +74,29 @@ impl Value {
     /// Embedded quotes and backslashes are escaped, so the rendering is
     /// unambiguous (`it's` renders as `'it\'s'`, not the broken `'it's'`).
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write_rendered(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Write [`Value::render`]'s rendering to `out` without allocating.
+    pub fn write_rendered(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Value::Null => "null".to_string(),
-            Value::Int(i) => i.to_string(),
+            Value::Null => out.write_str("null"),
+            Value::Int(i) => write!(out, "{i}"),
             Value::Str(s) => {
                 let raw = s.as_str();
-                if raw.contains('\'') || raw.contains('\\') {
-                    let escaped = raw.replace('\\', "\\\\").replace('\'', "\\'");
-                    format!("'{escaped}'")
-                } else {
-                    format!("'{raw}'")
+                out.write_char('\'')?;
+                let mut start = 0;
+                for (at, escaped) in raw.match_indices(['\'', '\\']) {
+                    out.write_str(&raw[start..at])?;
+                    out.write_char('\\')?;
+                    out.write_str(escaped)?;
+                    start = at + escaped.len();
                 }
+                out.write_str(&raw[start..])?;
+                out.write_char('\'')
             }
         }
     }

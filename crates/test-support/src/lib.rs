@@ -13,6 +13,8 @@
 //!   variable→term assignments of a small candidate clause (over the terms
 //!   of `D` plus canonical fresh terms) and a witness verifier checking that
 //!   a returned θ really embeds `C` into `D`.
+//! * [`expand_reference`] — the unmemoized repaired-clause expansion the
+//!   production `repaired_clauses` must reproduce exactly, order included.
 //! * [`string_reference`] — the string-keyed, allocation-heavy matcher the
 //!   interning refactor replaced, kept as a second, structurally different
 //!   reference implementation.
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod delta;
+pub mod expand_reference;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod gen;
