@@ -14,10 +14,6 @@ use dlearn_core::{Engine, LearnerConfig, Strategy};
 use dlearn_datagen::{generate_movie_dataset, MovieConfig};
 use dlearn_eval::experiments::{self, Scale};
 
-fn configure(c: &mut Criterion) -> &mut Criterion {
-    c
-}
-
 fn bench_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("paper_tables");
     group
@@ -56,7 +52,7 @@ fn bench_systems(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(15));
     let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
     let engine = Engine::prepare(dataset.task.clone(), LearnerConfig::fast()).expect("valid task");
-    for strategy in Strategy::all() {
+    for strategy in Strategy::ALL {
         group.bench_function(strategy.name(), |b| {
             b.iter(|| std::hint::black_box(engine.learn(strategy).expect("learn")))
         });
@@ -85,8 +81,3 @@ fn bench_km_ablation(c: &mut Criterion) {
 
 criterion_group!(benches, bench_tables, bench_systems, bench_km_ablation);
 criterion_main!(benches);
-
-#[allow(dead_code)]
-fn unused(c: &mut Criterion) {
-    configure(c);
-}

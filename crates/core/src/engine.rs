@@ -2,10 +2,10 @@
 //!
 //! The paper's pipeline front-loads two expensive, *per-database* artifacts:
 //! the similarity index behind every matching dependency (Section 5) and the
-//! ground bottom clauses of the training examples (Section 4.3). The legacy
-//! one-shot `DLearn::new(cfg).learn(&task)` rebuilt both on every call; an
+//! ground bottom clauses of the training examples (Section 4.3). An
 //! [`Engine`] builds them once at [`Engine::prepare`] time and shares them —
-//! behind `Arc` — across every strategy run and every prediction:
+//! behind `Arc` — across every strategy run and every prediction. This is
+//! the crate's one learning path: prepare, then learn, then serve.
 //!
 //! * [`Engine::learn`] runs any [`Strategy`] — the five paper systems plus
 //!   the FOIL/TILDE extension learners of the `learn` subsystem, which
@@ -44,7 +44,6 @@ use crate::config::LearnerConfig;
 use crate::coverage::{CoverageEngine, GroundExample, PreparedClause};
 use crate::error::DlearnError;
 use crate::learner::{augment_with_target, Strategy};
-use crate::model::ClauseStats;
 use crate::task::LearningTask;
 
 /// The similarity threshold above which a match counts as *exact*: only
@@ -145,27 +144,20 @@ impl Engine {
         // in any of them (a malformed row that slipped past validation, an
         // injected fault) surfaces as a typed error, not a process abort.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Self::prepare_unchecked(task, config)
+            let catalog = Arc::new(build_catalog(&task, &config));
+            let base = Arc::new(StrategyPlan::build(task, config.clone(), catalog, 0));
+            Engine {
+                config,
+                base,
+                plans: Default::default(),
+                maintenance: None,
+                quarantined: false,
+            }
         }))
         .map_err(|payload| DlearnError::WorkerPanicked {
             site: "prepare",
             message: crate::par::panic_message(&*payload),
         })
-    }
-
-    /// [`Engine::prepare`] without the up-front validation. Used by the
-    /// deprecated one-shot entry points, which historically accepted any
-    /// task and failed (or quietly learned nothing) later.
-    pub(crate) fn prepare_unchecked(task: LearningTask, config: LearnerConfig) -> Engine {
-        let catalog = Arc::new(build_catalog(&task, &config));
-        let base = Arc::new(StrategyPlan::build(task, config.clone(), catalog, 0));
-        Engine {
-            config,
-            base,
-            plans: Default::default(),
-            maintenance: None,
-            quarantined: false,
-        }
     }
 
     fn validate_task(task: &LearningTask) -> Result<(), DlearnError> {
@@ -252,7 +244,6 @@ impl Engine {
         Ok(Predictor::bind(
             self.plan(learned.strategy)?,
             learned.definition.clone(),
-            learned.stats.clone(),
         ))
     }
 
@@ -278,9 +269,9 @@ impl Engine {
         Ok(self.plans[slot].get_or_init(|| plan).clone())
     }
 
-    /// Strategy preprocessing, factored out of the legacy one-shot learner:
-    /// rewrite the task/config for the baseline and pick its catalog,
-    /// reusing the prepared index whenever the semantics allow.
+    /// Strategy preprocessing: rewrite the task/config for the baseline and
+    /// pick its catalog, reusing the prepared index whenever the semantics
+    /// allow.
     fn derive_plan(&self, strategy: Strategy) -> Result<StrategyPlan, DlearnError> {
         let mut config = self.config.clone();
         let mut task = self.base.task.clone();
@@ -458,6 +449,17 @@ fn copy_without(db: &Database, skip: &str) -> Result<Database, DlearnError> {
     Ok(out)
 }
 
+/// Per-clause training coverage statistics, mirroring the annotations the
+/// paper prints next to each learned clause ("positive covered=…, negative
+/// covered=…").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClauseStats {
+    /// Positive training examples covered by the clause.
+    pub positives_covered: usize,
+    /// Negative training examples covered by the clause.
+    pub negatives_covered: usize,
+}
+
 /// The outcome of one [`Engine::learn`] run: the learned Horn definition,
 /// its per-clause training statistics, and basic run metrics. A `Learned`
 /// value is plain data — it holds no database, catalog or configuration —
@@ -508,25 +510,21 @@ impl Learned {
 
     /// Render the definition with its per-clause coverage annotations.
     pub fn render(&self) -> String {
-        render_definition(&self.definition, &self.stats)
-    }
-}
-
-pub(crate) fn render_definition(definition: &Definition, stats: &[ClauseStats]) -> String {
-    let mut out = String::new();
-    for (i, clause) in definition.clauses().iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
+        let mut out = String::new();
+        for (i, clause) in self.definition.clauses().iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(&clause.to_string());
+            if let Some(s) = self.stats.get(i) {
+                out.push_str(&format!(
+                    "\n  (positive covered={}, negative covered={})",
+                    s.positives_covered, s.negatives_covered
+                ));
+            }
         }
-        out.push_str(&clause.to_string());
-        if let Some(s) = stats.get(i) {
-            out.push_str(&format!(
-                "\n  (positive covered={}, negative covered={})",
-                s.positives_covered, s.negatives_covered
-            ));
-        }
+        out
     }
-    out
 }
 
 /// A learned definition bound to its session's prepared artifacts for
@@ -535,16 +533,11 @@ pub(crate) fn render_definition(definition: &Definition, stats: &[ClauseStats]) 
 pub struct Predictor {
     pub(crate) plan: Arc<StrategyPlan>,
     definition: Definition,
-    stats: Vec<ClauseStats>,
     pub(crate) prepared: Vec<PreparedClause>,
 }
 
 impl Predictor {
-    pub(crate) fn bind(
-        plan: Arc<StrategyPlan>,
-        definition: Definition,
-        stats: Vec<ClauseStats>,
-    ) -> Predictor {
+    pub(crate) fn bind(plan: Arc<StrategyPlan>, definition: Definition) -> Predictor {
         let prepared = definition
             .clauses()
             .iter()
@@ -553,7 +546,6 @@ impl Predictor {
         Predictor {
             plan,
             definition,
-            stats,
             prepared,
         }
     }
@@ -561,11 +553,6 @@ impl Predictor {
     /// The definition this predictor serves.
     pub fn definition(&self) -> &Definition {
         &self.definition
-    }
-
-    /// Per-clause coverage statistics over the training data.
-    pub fn stats(&self) -> &[ClauseStats] {
-        &self.stats
     }
 
     /// The configuration of the strategy the definition was learned with.
@@ -732,7 +719,7 @@ mod tests {
     fn all_strategies_run_against_one_prepared_session() {
         let task = two_source_task();
         let engine = Engine::prepare(task, config()).expect("valid task");
-        for strategy in Strategy::all() {
+        for strategy in Strategy::ALL {
             let learned = engine.learn(strategy).expect("learn");
             // Each strategy's plan is cached: a second run reuses it and
             // must produce the identical definition.

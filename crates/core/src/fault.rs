@@ -3,10 +3,11 @@
 //! With the `fault-injection` feature on, the checkpoints re-export the
 //! deterministic harness in `dlearn-test-support` (see its `fault` module);
 //! off, they compile to no-op shims the optimizer erases, so production
-//! builds carry no injection machinery.
+//! builds carry no injection machinery. A plan is scoped to the thread that
+//! installs it; `par` hands it on to the workers it fans out to.
 
 #[cfg(feature = "fault-injection")]
-pub(crate) use dlearn_test_support::fault::{checkpoint, Action, Site};
+pub(crate) use dlearn_test_support::fault::{checkpoint, current, Action, Site};
 
 #[cfg(not(feature = "fault-injection"))]
 pub(crate) use noop::{checkpoint, Action, Site};

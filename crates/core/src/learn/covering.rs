@@ -11,9 +11,8 @@ use dlearn_logic::{Clause, Definition, NumberedClause};
 use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
 use crate::coverage::{CoverageEngine, PreparedClause};
-use crate::engine::StrategyPlan;
+use crate::engine::{ClauseStats, StrategyPlan};
 use crate::generalize::generalize_prepared;
-use crate::model::ClauseStats;
 
 use super::{accept_clause, Refined, Refiner};
 

@@ -33,8 +33,7 @@ use dlearn_logic::{Clause, Definition};
 use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
 use crate::coverage::{CoverageEngine, PreparedClause};
-use crate::engine::StrategyPlan;
-use crate::model::ClauseStats;
+use crate::engine::{ClauseStats, StrategyPlan};
 
 use super::{accept_clause, subclause, Refined, Refiner};
 

@@ -33,9 +33,8 @@ use std::collections::BTreeSet;
 
 use dlearn_logic::{Clause, Definition, Term, Var};
 
-use crate::engine::StrategyPlan;
+use crate::engine::{ClauseStats, StrategyPlan};
 use crate::learner::Strategy;
-use crate::model::ClauseStats;
 
 /// The outcome of one refinement run over a strategy plan.
 pub(crate) struct Refined {

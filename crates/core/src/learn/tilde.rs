@@ -35,8 +35,7 @@ use dlearn_logic::{Clause, Definition};
 
 use crate::bottom::BottomClauseBuilder;
 use crate::coverage::PreparedClause;
-use crate::engine::StrategyPlan;
-use crate::model::ClauseStats;
+use crate::engine::{ClauseStats, StrategyPlan};
 
 use super::{conjoin_tests, connected_test, entropy, Refined, Refiner};
 

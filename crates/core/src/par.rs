@@ -23,11 +23,19 @@ where
     }
     let chunk = items.len().div_ceil(threads);
     let mut out: Vec<Vec<R>> = Vec::new();
+    // Workers run under the caller's fault plan, so an injected fault
+    // reaches every item of the computation that installed it.
+    #[cfg(feature = "fault-injection")]
+    let plan = crate::fault::current();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (ci, chunk_items) in items.chunks(chunk).enumerate() {
             let f = &f;
+            #[cfg(feature = "fault-injection")]
+            let plan = &plan;
             handles.push(scope.spawn(move || {
+                #[cfg(feature = "fault-injection")]
+                let _plan = plan.enter();
                 chunk_items
                     .iter()
                     .enumerate()

@@ -32,9 +32,9 @@ pub use numbering::{NumberedClause, VarNumbering};
 pub use repair::{CondAtom, RepairGroup, RepairOrigin};
 pub use substitution::{FlatSubstitution, Substitution};
 pub use subsumption::{
-    extend_bindings, extend_bindings_flat, head_bindings, head_bindings_numbered, subsumes,
-    subsumes_numbered, subsumes_numbered_decision, subsumes_numbered_decision_controlled,
-    CancelToken, Decision, GroundClause, SubsumptionConfig, CANCEL_CHECK_INTERVAL,
+    extend_bindings, head_bindings, subsumes, subsumes_numbered, subsumes_numbered_decision,
+    subsumes_numbered_decision_controlled, CancelToken, Decision, GroundClause, SubsumptionConfig,
+    CANCEL_CHECK_INTERVAL,
 };
 pub use term::{Term, Var};
 

@@ -106,13 +106,14 @@ impl FromIterator<(Var, Term)> for Substitution {
 /// A substitution over a clause-local **dense** variable numbering: variable
 /// `Var(i)` is bound by writing slot `i` of a flat `Vec<Option<Term>>`.
 ///
-/// This is the θ representation of the subsumption matcher's inner loop:
-/// `get`/`bind`/`remove` are direct array accesses (no hashing), and the
-/// trail-based backtracking of the search unwinds bindings with `O(1)` slot
-/// writes. It is only valid for clauses whose variables have been renumbered
-/// to `0..n` (see [`crate::numbering::NumberedClause`]); the hash-keyed
-/// [`Substitution`] remains the general-purpose representation for arbitrary
-/// variable indices (renamings, repair application, witnesses).
+/// This is the subsumption matcher's only θ representation, in the search
+/// and in the generalization helpers alike: `get`/`bind`/`remove` are direct
+/// array accesses (no hashing), and the trail-based backtracking of the
+/// search unwinds bindings with `O(1)` slot writes. It is only valid for
+/// clauses whose variables have been renumbered to `0..n` (see
+/// [`crate::numbering::NumberedClause`]); the hash-keyed [`Substitution`]
+/// serves arbitrary variable indices outside the matcher (renamings, repair
+/// application, witnesses translated back to the original variables).
 ///
 /// Terms in the *range* of the substitution are unrestricted — they may be
 /// constants or variables of the right-hand clause with arbitrary indices

@@ -51,12 +51,13 @@
 //! [`crate::numbering::NumberedClause`]), so θ is a [`FlatSubstitution`] —
 //! a `Vec<Option<Term>>` indexed by variable number. Every `get`/`bind`/
 //! `remove` in the inner loop is a direct slot access and trail unwinding is
-//! `O(1)` per binding; no hashing happens anywhere in the search. The
-//! hash-keyed [`Substitution`] path ([`head_bindings`], [`extend_bindings`])
-//! is kept as the general-purpose reference implementation over the same
-//! generic matcher internals; [`subsumes`] renumbers on the fly, while
-//! [`subsumes_numbered`] / [`subsumes_numbered_decision`] reuse a
-//! prepared-once numbering (the covering loop's hot path).
+//! `O(1)` per binding; no hashing happens anywhere in the search. This is
+//! the matcher's only θ representation: [`subsumes_numbered`] /
+//! [`subsumes_numbered_decision`] and the generalization helpers
+//! ([`head_bindings`], [`extend_bindings`]) take a prepared-once numbering
+//! (the covering loop's hot path), and [`subsumes`] renumbers on the fly and
+//! translates its witness back to `C`'s original variables as a
+//! [`Substitution`].
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,55 +71,6 @@ use crate::numbering::NumberedClause;
 use crate::repair::{RepairGroup, RepairOrigin};
 use crate::substitution::{FlatSubstitution, Substitution};
 use crate::term::{Term, Var};
-
-/// The θ interface the matcher internals are generic over: implemented by
-/// the flat, clause-locally-numbered [`FlatSubstitution`] (the hot path) and
-/// by the hash-keyed [`Substitution`] (the arbitrary-variable reference
-/// path). Monomorphization keeps the flat instantiation allocation- and
-/// hash-free.
-trait Theta {
-    fn binding(&self, v: Var) -> Option<&Term>;
-    fn bind(&mut self, v: Var, t: Term);
-    fn unbind(&mut self, v: Var);
-    fn try_bind(&mut self, v: Var, t: Term) -> bool;
-    fn apply(&self, t: &Term) -> Term;
-}
-
-impl Theta for Substitution {
-    fn binding(&self, v: Var) -> Option<&Term> {
-        self.get(v)
-    }
-    fn bind(&mut self, v: Var, t: Term) {
-        Substitution::bind(self, v, t);
-    }
-    fn unbind(&mut self, v: Var) {
-        self.remove(v);
-    }
-    fn try_bind(&mut self, v: Var, t: Term) -> bool {
-        Substitution::try_bind(self, v, t)
-    }
-    fn apply(&self, t: &Term) -> Term {
-        Substitution::apply(self, t)
-    }
-}
-
-impl Theta for FlatSubstitution {
-    fn binding(&self, v: Var) -> Option<&Term> {
-        self.get(v)
-    }
-    fn bind(&mut self, v: Var, t: Term) {
-        FlatSubstitution::bind(self, v, t);
-    }
-    fn unbind(&mut self, v: Var) {
-        self.remove(v);
-    }
-    fn try_bind(&mut self, v: Var, t: Term) -> bool {
-        FlatSubstitution::try_bind(self, v, t)
-    }
-    fn apply(&self, t: &Term) -> Term {
-        FlatSubstitution::apply(self, t)
-    }
-}
 
 /// The outcome of a θ-subsumption decision.
 ///
@@ -360,7 +312,12 @@ impl GroundClause {
     /// through the per-position value indexes for every argument that is
     /// already determined (a constant, or a θ-bound variable). Every literal
     /// skipped by the pruning could not have matched.
-    fn candidates_pruned<T: Theta>(&self, relation: RelId, args: &[Term], theta: &T) -> &[usize] {
+    fn candidates_pruned(
+        &self,
+        relation: RelId,
+        args: &[Term],
+        theta: &FlatSubstitution,
+    ) -> &[usize] {
         let Some(bucket) = self.buckets.get(&(relation, args.len())) else {
             return &EMPTY_IDS;
         };
@@ -368,7 +325,7 @@ impl GroundClause {
         for (p, arg) in args.iter().enumerate() {
             let determined = match arg {
                 Term::Const(_) => Some(*arg),
-                Term::Var(v) => theta.binding(*v).copied(),
+                Term::Var(v) => theta.get(*v).copied(),
             };
             if let Some(term) = determined {
                 match bucket.by_pos[p].get(&term) {
@@ -387,10 +344,10 @@ impl GroundClause {
 
 /// Try to unify (match) a literal of `C` against a concrete literal of `D`,
 /// extending the substitution and recording fresh bindings on `trail`.
-fn match_literal<T: Theta>(
+fn match_literal(
     c_lit: &Literal,
     d_lit: &Literal,
-    theta: &mut T,
+    theta: &mut FlatSubstitution,
     trail: &mut Vec<Var>,
 ) -> bool {
     match (c_lit, d_lit) {
@@ -420,13 +377,18 @@ fn match_literal<T: Theta>(
 
 /// Match a term of `C` against a term of `D` under the current substitution,
 /// recording any fresh binding on `trail`.
-fn match_term<T: Theta>(c_term: &Term, d_term: &Term, theta: &mut T, trail: &mut Vec<Var>) -> bool {
+fn match_term(
+    c_term: &Term,
+    d_term: &Term,
+    theta: &mut FlatSubstitution,
+    trail: &mut Vec<Var>,
+) -> bool {
     match c_term {
         Term::Const(v) => match d_term {
             Term::Const(w) => v == w,
             Term::Var(_) => false,
         },
-        Term::Var(v) => match theta.binding(*v) {
+        Term::Var(v) => match theta.get(*v) {
             Some(existing) => existing == d_term,
             None => {
                 theta.bind(*v, *d_term);
@@ -438,9 +400,9 @@ fn match_term<T: Theta>(c_term: &Term, d_term: &Term, theta: &mut T, trail: &mut
 }
 
 /// Undo every binding recorded past `mark`.
-fn unwind<T: Theta>(theta: &mut T, trail: &mut Vec<Var>, mark: usize) {
+fn unwind(theta: &mut FlatSubstitution, trail: &mut Vec<Var>, mark: usize) {
     for var in trail.drain(mark..) {
-        theta.unbind(var);
+        theta.remove(var);
     }
 }
 
@@ -576,11 +538,9 @@ fn search_subsumption(
     let clause = c.clause();
 
     // 1. Heads must unify.
-    let mut theta = c.fresh_substitution();
-    let mut head_trail = Vec::new();
-    if !match_literal(&clause.head, d.head(), &mut theta, &mut head_trail) {
+    let Some(theta) = head_bindings(c, d) else {
         return (None, None);
-    }
+    };
 
     // 2. Collect C's relation literals. Under adaptive ordering the search
     // re-selects the most constrained one at every node, so the initial
@@ -719,7 +679,7 @@ fn finish_mapping(ctx: &SearchCtx, state: &mut SearchState) -> bool {
 }
 
 /// Verify (and where necessary bind) the non-relation literals of `C`.
-fn check_constraints<T: Theta>(lits: &[&Literal], theta: &mut T, d: &GroundClause) -> bool {
+fn check_constraints(lits: &[&Literal], theta: &mut FlatSubstitution, d: &GroundClause) -> bool {
     for lit in lits {
         match lit {
             Literal::Similar(a, b) => {
@@ -753,8 +713,8 @@ enum PairKind {
     Equal,
 }
 
-fn check_pair<T: Theta>(
-    theta: &mut T,
+fn check_pair(
+    theta: &mut FlatSubstitution,
     d: &GroundClause,
     a: &Term,
     b: &Term,
@@ -766,14 +726,8 @@ fn check_pair<T: Theta>(
     };
     let ta = theta.apply(a);
     let tb = theta.apply(b);
-    let a_bound = ta.is_const()
-        || a.as_var()
-            .map(|v| theta.binding(v).is_some())
-            .unwrap_or(true);
-    let b_bound = tb.is_const()
-        || b.as_var()
-            .map(|v| theta.binding(v).is_some())
-            .unwrap_or(true);
+    let a_bound = ta.is_const() || a.as_var().map(|v| theta.get(v).is_some()).unwrap_or(true);
+    let b_bound = tb.is_const() || b.as_var().map(|v| theta.get(v).is_some()).unwrap_or(true);
     match (a_bound, b_bound) {
         (true, true) => ta == tb || pairs.contains(&(ta, tb)),
         (true, false) => {
@@ -885,21 +839,9 @@ fn strict_repairs_ok(state: &SearchState, d: &GroundClause) -> bool {
     true
 }
 
-/// Bindings of the head of a candidate clause against the head of a ground
-/// clause. Returns `None` when the heads cannot unify.
-pub fn head_bindings(head: &Literal, d: &GroundClause) -> Option<Substitution> {
-    let mut theta = Substitution::new();
-    let mut trail = Vec::new();
-    if match_literal(head, d.head(), &mut theta, &mut trail) {
-        Some(theta)
-    } else {
-        None
-    }
-}
-
-/// Flat-substitution counterpart of [`head_bindings`], over a renumbered
-/// candidate clause.
-pub fn head_bindings_numbered(c: &NumberedClause, d: &GroundClause) -> Option<FlatSubstitution> {
+/// Bindings of the head of a renumbered candidate clause against the head
+/// of a ground clause. Returns `None` when the heads cannot unify.
+pub fn head_bindings(c: &NumberedClause, d: &GroundClause) -> Option<FlatSubstitution> {
     let mut theta = c.fresh_substitution();
     let mut trail = Vec::new();
     if match_literal(&c.clause().head, d.head(), &mut theta, &mut trail) {
@@ -912,36 +854,18 @@ pub fn head_bindings_numbered(c: &NumberedClause, d: &GroundClause) -> Option<Fl
 /// Extend a set of partial substitutions with one more literal of the
 /// candidate clause, against the ground clause `d`. Used by the
 /// generalization algorithm to detect blocking literals incrementally.
+/// `lit` must be a literal of the renumbered clause the bindings were
+/// created for (see [`head_bindings`]).
 ///
 /// The result is capped at `cap` substitutions; an empty result means the
 /// literal is *blocking* for every current binding.
 pub fn extend_bindings(
     lit: &Literal,
-    bindings: &[Substitution],
-    d: &GroundClause,
-    cap: usize,
-) -> Vec<Substitution> {
-    extend_bindings_impl(lit, bindings, d, cap)
-}
-
-/// Flat-substitution counterpart of [`extend_bindings`]. `lit` must be a
-/// literal of the renumbered clause the bindings were created for.
-pub fn extend_bindings_flat(
-    lit: &Literal,
     bindings: &[FlatSubstitution],
     d: &GroundClause,
     cap: usize,
 ) -> Vec<FlatSubstitution> {
-    extend_bindings_impl(lit, bindings, d, cap)
-}
-
-fn extend_bindings_impl<T: Theta + Clone>(
-    lit: &Literal,
-    bindings: &[T],
-    d: &GroundClause,
-    cap: usize,
-) -> Vec<T> {
-    let mut out: Vec<T> = Vec::new();
+    let mut out: Vec<FlatSubstitution> = Vec::new();
     let mut trail: Vec<Var> = Vec::new();
     for theta in bindings {
         match lit {
@@ -1189,24 +1113,38 @@ mod tests {
     #[test]
     fn extend_bindings_detects_blocking_literals() {
         let d = ground_clause();
-        let head = Literal::relation("highGrossing", vec![Term::var(10)]);
-        let start = vec![head_bindings(&head, &d).unwrap()];
-        let movies = Literal::relation("movies", vec![Term::var(11), Term::var(12), Term::var(13)]);
-        let after_movies = extend_bindings(&movies, &start, &d, 16);
+        // The candidate's body, in the order the bindings are extended:
+        // movies, a relation D lacks, a genre with the wrong constant, and
+        // the genre D has. Renumbering maps v10..v14 to slots 0..4.
+        let mut c = Clause::new(Literal::relation("highGrossing", vec![Term::var(10)]));
+        c.push_unique(Literal::relation(
+            "movies",
+            vec![Term::var(11), Term::var(12), Term::var(13)],
+        ));
+        c.push_unique(Literal::relation(
+            "mov2releasedate",
+            vec![Term::var(11), Term::var(14)],
+        ));
+        c.push_unique(Literal::relation(
+            "mov2genres",
+            vec![Term::var(11), Term::constant("drama")],
+        ));
+        c.push_unique(Literal::relation(
+            "mov2genres",
+            vec![Term::var(11), Term::constant("comedy")],
+        ));
+        let c = NumberedClause::new(&c);
+        let [movies, blocking, wrong_genre, right_genre] = &c.clause().body[..] else {
+            panic!("renumbering must keep the four body literals");
+        };
+        let start = vec![head_bindings(&c, &d).unwrap()];
+        let after_movies = extend_bindings(movies, &start, &d, 16);
         assert_eq!(after_movies.len(), 1);
         // A literal whose relation does not exist in D blocks every binding.
-        let blocking = Literal::relation("mov2releasedate", vec![Term::var(11), Term::var(14)]);
-        assert!(extend_bindings(&blocking, &after_movies, &d, 16).is_empty());
+        assert!(extend_bindings(blocking, &after_movies, &d, 16).is_empty());
         // A genre literal with the wrong constant also blocks.
-        let wrong_genre =
-            Literal::relation("mov2genres", vec![Term::var(11), Term::constant("drama")]);
-        assert!(extend_bindings(&wrong_genre, &after_movies, &d, 16).is_empty());
-        let right_genre =
-            Literal::relation("mov2genres", vec![Term::var(11), Term::constant("comedy")]);
-        assert_eq!(
-            extend_bindings(&right_genre, &after_movies, &d, 16).len(),
-            1
-        );
+        assert!(extend_bindings(wrong_genre, &after_movies, &d, 16).is_empty());
+        assert_eq!(extend_bindings(right_genre, &after_movies, &d, 16).len(), 1);
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //! the Length similarity functions."*
 
 use crate::length::{length_similarity, length_similarity_from_counts};
-use crate::sw_gotoh::{
-    swg_similarity_normalized_chars, swg_similarity_normalized_chars_at_least, swg_similarity_with,
-    SwgParams, ABANDON_SLACK,
-};
+use crate::sw_gotoh::{swg_similarity_with, SwgParams, ABANDON_SLACK};
 use crate::sw_kernel::{aligned_match_upper_bound, swg_similarity_banded_at_least, SimProfile};
 
 /// A configurable string-similarity operator with a decision threshold.
@@ -48,36 +45,6 @@ impl SimilarityOperator {
         let swg = swg_similarity_with(a, b, &self.swg);
         let len = length_similarity(a, b);
         (swg + len) / 2.0
-    }
-
-    /// Combined score of two **already-normalized** char slices —
-    /// bit-identical to [`SimilarityOperator::score`] on the raw strings
-    /// they were normalized from. Index construction normalizes each value
-    /// once and scores every candidate pair through this path.
-    pub fn score_normalized_chars(&self, a: &[char], b: &[char]) -> f64 {
-        let swg = swg_similarity_normalized_chars(a, b, &self.swg);
-        let len = length_similarity_from_counts(a.len(), b.len());
-        (swg + len) / 2.0
-    }
-
-    /// Like [`Self::score_normalized_chars`], but abandons the alignment as
-    /// soon as the combined score provably cannot reach `required` and
-    /// returns `None` ("strictly below `required`"). A `Some` score is
-    /// bit-identical to the exhaustive path. Index construction passes the
-    /// running k-th score here, so hopeless candidates pay for a prefix of
-    /// the dynamic program instead of all of it.
-    pub fn score_normalized_chars_at_least(
-        &self,
-        a: &[char],
-        b: &[char],
-        required: f64,
-    ) -> Option<f64> {
-        let len = length_similarity_from_counts(a.len(), b.len());
-        // combined = (swg + len) / 2 >= required  ⟺  swg >= 2·required - len;
-        // the translation's roundings are covered by the abandon slack.
-        let required_swg = 2.0 * required - len;
-        let swg = swg_similarity_normalized_chars_at_least(a, b, &self.swg, required_swg)?;
-        Some((swg + len) / 2.0)
     }
 
     /// The `≈` predicate: whether two strings are similar under the
@@ -172,12 +139,13 @@ impl SimilarityOperator {
 
     /// The profile-to-profile hot path of index construction: the
     /// bit-parallel match bound gates the pair, then the **banded** exact
-    /// dynamic program scores it. Contract mirrors
-    /// [`Self::score_normalized_chars_at_least`] — `None` means the combined
-    /// score is strictly below `required`; a `Some` score is bit-identical
-    /// to [`Self::score_normalized_chars`] on the same chars (the band and
-    /// the gate only ever drop pairs that provably fall short). Pass
-    /// `f64::NEG_INFINITY` to never abandon.
+    /// dynamic program scores it. `None` means the combined score is
+    /// strictly below `required`; a `Some` score is bit-identical to
+    /// [`Self::score`] on the strings the profiles were built from (the band
+    /// and the gate only ever drop pairs that provably fall short). Index
+    /// construction passes the running k-th score as `required`, so hopeless
+    /// candidates pay for a prefix of the dynamic program instead of all of
+    /// it. Pass `f64::NEG_INFINITY` to never abandon.
     pub fn score_profiles_at_least(
         &self,
         a: &SimProfile,
@@ -454,25 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn char_path_score_matches_string_path() {
-        let op = SimilarityOperator::default();
-        for (a, b) in [
-            ("Superbad", "Superbad (2007)"),
-            ("Star Wars", "The Orphanage"),
-            ("", ""),
-            ("?!|", "x"),
-        ] {
-            let ca: Vec<char> = normalize(a).chars().collect();
-            let cb: Vec<char> = normalize(b).chars().collect();
-            assert_eq!(
-                op.score(a, b),
-                op.score_normalized_chars(&ca, &cb),
-                "({a:?}, {b:?})"
-            );
-        }
-    }
-
-    #[test]
     fn common_bound_is_the_matches_bound_at_the_integer_point() {
         let op = SimilarityOperator::default();
         for (ll, rl, common) in [(4usize, 8usize, 3u32), (10, 10, 10), (1, 30, 0), (0, 5, 0)] {
@@ -485,9 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn profile_path_matches_the_scalar_char_path() {
+    fn profile_path_matches_the_string_path() {
         // The full kernel chain (bit-parallel gate + banded DP) against the
-        // scalar reference, on seeded random pairs and random requirements:
+        // string-path score (scalar DP), on seeded random pairs and random
+        // requirements:
         // completed runs are bit-identical, abandons only hide scores that
         // are truly below the requirement.
         use rand::rngs::StdRng;
@@ -506,7 +456,7 @@ mod tests {
             let b = s(24);
             let pa = crate::sw_kernel::SimProfile::new(&a);
             let pb = crate::sw_kernel::SimProfile::new(&b);
-            let exact = op.score_normalized_chars(&pa.chars, &pb.chars);
+            let exact = op.score(&a, &b);
             let required = rng.gen_range(0.0..1.2);
             match op.score_profiles_at_least(&pa, &pb, required) {
                 Some(v) => assert_eq!(v, exact, "({a:?}, {b:?}, required {required})"),

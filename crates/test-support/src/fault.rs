@@ -13,14 +13,22 @@
 //!
 //! Decisions are a pure function of `(seed, rule index, site, key)` — no
 //! global RNG state — so a plan injects the same faults at every thread
-//! count and on every rerun. [`install`] holds a global lock for the
-//! lifetime of the returned [`FaultGuard`], serializing tests that inject
-//! faults against each other; dropping the guard clears the plan.
+//! count and on every rerun.
+//!
+//! A plan is scoped to the thread that installs it: [`install`] makes it
+//! the calling thread's plan until the returned [`FaultGuard`] drops, and
+//! checkpoints on any other thread never see it. Worker threads a
+//! computation fans out to adopt their caller's plan explicitly
+//! ([`current`], then [`PlanHandle::enter`] on the worker), so tests that
+//! inject faults run in parallel without reading each other's plans.
 
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
+use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Marker embedded in every injected panic's message, so panic hooks and
@@ -186,56 +194,99 @@ fn hash01(seed: u64, rule_idx: usize, site: Site, key: &str) -> f64 {
     (h.finish() >> 11) as f64 / (1u64 << 53) as f64
 }
 
-struct Registry {
-    plan: RwLock<Option<FaultPlan>>,
-    install_lock: Mutex<()>,
+/// An installed plan with its injection counters.
+struct Installed {
+    plan: FaultPlan,
     injected: [AtomicU64; 6],
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        plan: RwLock::new(None),
-        install_lock: Mutex::new(()),
-        injected: [
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-        ],
-    })
+thread_local! {
+    static ACTIVE: RefCell<Option<Arc<Installed>>> = const { RefCell::new(None) };
 }
 
-/// Keeps a [`FaultPlan`] installed; dropping it clears the plan and releases
-/// the install lock.
+/// Make `plan` the current thread's plan, returning the one it replaces.
+fn set_active(plan: Option<Arc<Installed>>) -> Option<Arc<Installed>> {
+    ACTIVE.with(|active| active.replace(plan))
+}
+
+fn active() -> Option<Arc<Installed>> {
+    ACTIVE.with(|active| active.borrow().clone())
+}
+
+/// Keeps a [`FaultPlan`] installed on the installing thread; dropping it
+/// restores the plan that was current before. Not `Send`: the plan belongs
+/// to the thread that installed it.
 pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
+    previous: Option<Arc<Installed>>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        let reg = registry();
-        *reg.plan.write().unwrap_or_else(|e| e.into_inner()) = None;
+        // `try_with`: a guard dropped while its thread tears down its
+        // thread-locals must not panic.
+        let previous = self.previous.take();
+        let _ = ACTIVE.try_with(|active| active.replace(previous));
     }
 }
 
-/// Install a plan globally. The returned guard holds a process-wide lock, so
-/// concurrent installers (other `#[test]` threads) queue; counters are reset
-/// on each install. Also installs (once per process) a panic hook that
-/// swallows the default stderr backtrace for injected panics — they are
-/// expected and caught — while delegating every other panic to the previous
-/// hook.
+/// Install a plan on the calling thread, with fresh injection counters.
+/// Also installs (once per process) a panic hook that swallows the default
+/// stderr report for injected panics — they are expected and caught — while
+/// delegating every other panic to the previous hook.
 pub fn install(plan: FaultPlan) -> FaultGuard {
     install_quiet_hook();
-    let reg = registry();
-    let lock = reg.install_lock.lock().unwrap_or_else(|e| e.into_inner());
-    for counter in &reg.injected {
-        counter.store(0, Ordering::Relaxed);
+    let installed = Arc::new(Installed {
+        plan,
+        injected: Default::default(),
+    });
+    FaultGuard {
+        previous: set_active(Some(installed)),
+        _not_send: PhantomData,
     }
-    *reg.plan.write().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-    FaultGuard { _lock: lock }
+}
+
+/// The calling thread's plan (possibly none), as a handle a worker thread
+/// can adopt with [`PlanHandle::enter`].
+pub fn current() -> PlanHandle {
+    PlanHandle(active())
+}
+
+/// A thread's fault plan, carried to the worker threads its computation
+/// fans out to. Injections on a worker count towards the same plan.
+pub struct PlanHandle(Option<Arc<Installed>>);
+
+impl PlanHandle {
+    /// Make this the current thread's plan until the returned guard drops.
+    pub fn enter(&self) -> FaultGuard {
+        FaultGuard {
+            previous: set_active(self.0.clone()),
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Where injected panics are raised, recorded by the first one.
+static INJECTION_POINT: OnceLock<&'static Location<'static>> = OnceLock::new();
+
+/// `true` for a panic raised by [`checkpoint`]'s injection, judged by the
+/// panic's source location. A message is no evidence: a failing assertion
+/// that prints a caught injected panic's message must still be reported.
+fn is_injected_panic(location: Option<&Location<'_>>) -> bool {
+    match (location, INJECTION_POINT.get()) {
+        (Some(at), Some(point)) => at == *point,
+        _ => false,
+    }
+}
+
+/// Raise an injected panic. `#[track_caller]` locates it at the call in
+/// [`checkpoint`], which is recorded before the panic so the quiet hook can
+/// recognize it.
+#[track_caller]
+fn raise(site: Site, key: &str) -> ! {
+    let here = Location::caller();
+    INJECTION_POINT.get_or_init(|| here);
+    panic!("{PANIC_MARKER} at {} for `{key}`", site.name())
 }
 
 fn install_quiet_hook() {
@@ -243,46 +294,36 @@ fn install_quiet_hook() {
     HOOK.get_or_init(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.contains(PANIC_MARKER))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<&str>()
-                        .map(|s| s.contains(PANIC_MARKER))
-                })
-                .unwrap_or(false);
-            if !injected {
+            if !is_injected_panic(info.location()) {
                 previous(info);
             }
         }));
     });
 }
 
-/// Number of faults injected at `site` since the current plan was installed.
+/// Number of faults injected at `site` since the calling thread's current
+/// plan was installed (0 when it has none).
 pub fn injected(site: Site) -> u64 {
-    registry().injected[site.index()].load(Ordering::Relaxed)
+    active().map_or(0, |installed| {
+        installed.injected[site.index()].load(Ordering::Relaxed)
+    })
 }
 
-/// Production checkpoint: consult the installed plan (if any) for `(site,
-/// key)`. Panics and delays execute here — after the plan lock is released,
-/// so a panicking checkpoint never poisons the registry; budget exhaustion
-/// is returned for the caller to honor.
+/// Production checkpoint: consult the calling thread's plan (if any) for
+/// `(site, key)`. Panics and delays execute here; budget exhaustion is
+/// returned for the caller to honor.
 pub fn checkpoint(site: Site, key: &str) -> Action {
-    let reg = registry();
-    let fault = {
-        let plan = reg.plan.read().unwrap_or_else(|e| e.into_inner());
-        match plan.as_ref().and_then(|p| p.decide(site, key)) {
-            Some(f) => f.clone(),
-            None => return Action::Proceed,
-        }
+    let Some(installed) = active() else {
+        return Action::Proceed;
     };
-    reg.injected[site.index()].fetch_add(1, Ordering::Relaxed);
+    let Some(fault) = installed.plan.decide(site, key) else {
+        return Action::Proceed;
+    };
+    installed.injected[site.index()].fetch_add(1, Ordering::Relaxed);
     match fault {
-        Fault::Panic => panic!("{PANIC_MARKER} at {} for `{key}`", site.name()),
+        Fault::Panic => raise(site, key),
         Fault::Delay(d) => {
-            std::thread::sleep(d);
+            std::thread::sleep(*d);
             Action::Proceed
         }
         Fault::ExhaustBudget => Action::ExhaustBudget,
@@ -320,6 +361,39 @@ mod tests {
             .filter(|i| plan.decide(Site::Coverage, &format!("key-{i}")).is_some())
             .count();
         assert!((300..700).contains(&hits), "hits={hits}");
+    }
+
+    #[test]
+    fn plans_are_scoped_to_the_installing_thread_and_its_adopters() {
+        let guard = install(FaultPlan::new(1).on_key(Site::Coverage, "x", Fault::ExhaustBudget));
+        // Another thread sees no plan...
+        let bystander = std::thread::spawn(|| checkpoint(Site::Coverage, "tuple x"));
+        assert_eq!(bystander.join().unwrap(), Action::Proceed);
+        // ...unless it adopts the installer's, and its injections count.
+        let handle = current();
+        let adopter = std::thread::spawn(move || {
+            let _plan = handle.enter();
+            checkpoint(Site::Coverage, "tuple x")
+        });
+        assert_eq!(adopter.join().unwrap(), Action::ExhaustBudget);
+        assert_eq!(injected(Site::Coverage), 1);
+        drop(guard);
+        assert_eq!(injected(Site::Coverage), 0);
+    }
+
+    #[test]
+    fn quiet_hook_matches_the_injection_point_not_the_message() {
+        let _guard = install(FaultPlan::new(1).on_key(Site::Learn, "x", Fault::Panic));
+        let caught = std::panic::catch_unwind(|| checkpoint(Site::Learn, "x")).unwrap_err();
+        let message = caught.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains(PANIC_MARKER), "{message}");
+        let point = INJECTION_POINT.get().expect("recorded by the injection");
+        assert_eq!(point.file(), file!(), "recorded at the checkpoint: {point}");
+        assert!(is_injected_panic(Some(point)));
+        // A panic anywhere else — even in this file, even quoting the
+        // marker — is not an injected one.
+        assert!(!is_injected_panic(Some(Location::caller())));
+        assert!(!is_injected_panic(None));
     }
 
     #[test]
