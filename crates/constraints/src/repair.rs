@@ -15,7 +15,7 @@
 //!   value, producing a database where the heterogeneity has been resolved
 //!   by a hard (and possibly wrong) choice.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dlearn_relstore::{Database, RelId, Sym, Value};
 use dlearn_similarity::{IndexConfig, SimilarityIndex};
@@ -81,7 +81,9 @@ pub fn minimal_cfd_repair(database: &Database, cfds: &[Cfd]) -> (Database, Repai
 
         // Group the CFDs by (relation, rhs attribute): their repairs interact
         // directly, so they are equalized together through one union-find.
-        let mut buckets: HashMap<(RelId, Sym), Vec<&Cfd>> = HashMap::new();
+        // Buckets are visited in key order: a bucket's updates can change the
+        // LHS values another bucket of the same relation groups by.
+        let mut buckets: BTreeMap<(RelId, Sym), Vec<&Cfd>> = BTreeMap::new();
         for cfd in cfds {
             buckets
                 .entry((cfd.relation, cfd.rhs))

@@ -268,9 +268,17 @@ impl Coalescer {
             max_queue_depth: AtomicU64::new(0),
         });
         let worker = inner.clone();
+        // The batcher serves under the fault plan of the thread that built
+        // the coalescer, as `par` workers do under their caller's plan.
+        #[cfg(feature = "fault-injection")]
+        let plan = crate::fault::current();
         let batcher = std::thread::Builder::new()
             .name("dlearn-coalescer".into())
-            .spawn(move || worker.run())
+            .spawn(move || {
+                #[cfg(feature = "fault-injection")]
+                let _plan = plan.enter();
+                worker.run()
+            })
             .expect("spawn coalescer batcher");
         Coalescer {
             inner,

@@ -41,13 +41,11 @@ pub struct LearnerConfig {
     /// Add CFD repair literals to clauses (DLearn-CFD). When `false`, CFD
     /// violations in the data are ignored during clause construction.
     pub use_cfd_repairs: bool,
-    /// Number of worker threads for coverage testing (0 = available cores).
+    /// Number of worker threads for grounding, coverage testing and the
+    /// learners' candidate scoring (0 = available cores). Every fan-out
+    /// reduces deterministically, so any thread count learns the identical
+    /// definition.
     pub coverage_threads: usize,
-    /// Number of worker threads for scoring generalization candidates in the
-    /// covering loop (0 = available cores). The parallel reduction is
-    /// deterministic — best score, ties broken by sample order — so any
-    /// thread count learns the identical definition.
-    pub generalization_threads: usize,
     /// Number of worker threads for similarity-index construction, passed
     /// through verbatim to `IndexConfig::threads`, which owns the
     /// resolution (0 = available cores). Construction merges per-left-value
@@ -83,7 +81,6 @@ impl Default for LearnerConfig {
             exact_md_joins: false,
             use_cfd_repairs: true,
             coverage_threads: 0,
-            generalization_threads: 0,
             index_threads: 0,
             index_hot_key_fraction: dlearn_similarity::IndexConfig::default().hot_key_fraction,
             seed: 7,
@@ -159,11 +156,6 @@ impl LearnerConfig {
     /// Number of coverage worker threads to actually use.
     pub fn effective_threads(&self) -> usize {
         Self::resolve_threads(self.coverage_threads)
-    }
-
-    /// Number of generalization-scoring worker threads to actually use.
-    pub fn effective_generalization_threads(&self) -> usize {
-        Self::resolve_threads(self.generalization_threads)
     }
 
     /// Set the similarity-index construction thread count (builder style).

@@ -9,13 +9,20 @@
 //! treating repair literals as ordinary literals (Theorem 4.6) is used as a
 //! fast sufficient check before falling back to the repaired-clause
 //! cross-product.
+//!
+//! [`PreparedClause::covers`] is the one implementation of both semantics.
+//! The [`CoverageEngine`] masks behind every learner, [`crate::Predictor`]
+//! and [`crate::PredictorService`] all decide through it; only the
+//! subsumption budget and the cancel token differ between callers. Masks
+//! fan out across `LearnerConfig::coverage_threads`, except inside another
+//! fan-out, where they run on the calling worker.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dlearn_logic::{
-    repaired_clauses, subsumes_numbered_decision, subsumes_numbered_decision_controlled,
-    CancelToken, Clause, Decision, GroundClause, NumberedClause,
+    repaired_clauses, subsumes_numbered_decision_controlled, CancelToken, Clause, Decision,
+    GroundClause, NumberedClause, SubsumptionConfig,
 };
 use dlearn_relstore::Tuple;
 
@@ -116,98 +123,90 @@ impl PreparedClause {
         &self.numbered_repaired
     }
 
-    /// Positive-coverage test (Definition 3.4) against a ground example: the
-    /// clause covers it iff it θ-subsumes the ground clause directly, or
-    /// every repaired clause subsumes some repaired version of the ground
-    /// clause. This is the single decision path shared by the coverage
-    /// engine's positive masks and [`crate::Predictor`].
-    pub fn covers_ground(
+    /// The coverage test against a ground example, under either semantics.
+    ///
+    /// The clause covers the example when it θ-subsumes the ground clause
+    /// directly (Theorem 4.6, a sufficient check tried first), or else when
+    /// its repaired clauses subsume repaired versions of the ground clause:
+    /// *every* repaired clause for [`Semantics::Positive`] (Definition 3.4),
+    /// *some* repaired clause for [`Semantics::Negative`] (Definition 3.6).
+    /// Each repaired clause is tested against the ground repairs in order
+    /// and stops at the first that it subsumes, and the loop over repaired
+    /// clauses stops as soon as the verdict is decided.
+    ///
+    /// Every search polls `cancel`, and a search whose step budget runs out
+    /// counts as "no" and is tallied in the outcome. This is the one
+    /// decision path behind the training masks, [`crate::Predictor`] and
+    /// [`crate::PredictorService`].
+    pub fn covers(
         &self,
         example: &GroundExample,
-        config: &dlearn_logic::SubsumptionConfig,
-    ) -> bool {
-        if subsumes_numbered_decision(self.numbered(), &example.ground, config).is_yes() {
-            return true;
-        }
-        if self.repaired.is_empty() {
-            return false;
-        }
-        self.numbered_repaired().iter().all(|cr| {
-            example
-                .repaired
-                .iter()
-                .any(|gr| subsumes_numbered_decision(cr, gr, config).is_yes())
-        })
-    }
-
-    /// [`PreparedClause::covers_ground`] with cancellation and exhaustion
-    /// accounting: runs the identical decision sequence (direct subsumption
-    /// first, then the repaired-clause cross-product in the same
-    /// short-circuit order), but polls `cancel` inside each search and counts
-    /// every subsumption search whose step budget ran out. When no budget
-    /// binds and no cancellation fires, the verdict is bit-identical to
-    /// `covers_ground`.
-    pub fn covers_ground_controlled(
-        &self,
-        example: &GroundExample,
-        config: &dlearn_logic::SubsumptionConfig,
+        semantics: Semantics,
+        config: &SubsumptionConfig,
         cancel: Option<&CancelToken>,
     ) -> CoverageOutcome {
-        let mut exhausted: u32 = 0;
-        let mut decide = |c: &NumberedClause, d: &GroundClause| -> Result<bool, CoverageOutcome> {
-            match subsumes_numbered_decision_controlled(c, d, config, cancel) {
-                Decision::Yes => Ok(true),
-                Decision::No => Ok(false),
+        let mut exhausted_searches: u32 = 0;
+        let mut subsumes = |c: &NumberedClause, d: &GroundClause| {
+            let decision = subsumes_numbered_decision_controlled(c, d, config, cancel);
+            match decision {
+                Decision::Yes => Some(true),
+                Decision::No => Some(false),
                 Decision::BudgetExhausted => {
-                    exhausted += 1;
-                    Ok(false)
+                    exhausted_searches += 1;
+                    Some(false)
                 }
-                Decision::Cancelled => Err(CoverageOutcome::Cancelled),
+                Decision::Cancelled => None,
             }
         };
-        macro_rules! check {
-            ($e:expr) => {
-                match $e {
-                    Ok(b) => b,
-                    Err(outcome) => return outcome,
-                }
-            };
+        match self.decide(example, semantics, &mut subsumes) {
+            Some(true) => CoverageOutcome::Covered { exhausted_searches },
+            Some(false) => CoverageOutcome::NotCovered { exhausted_searches },
+            None => CoverageOutcome::Cancelled,
         }
-        if check!(decide(self.numbered(), &example.ground)) {
-            return CoverageOutcome::Covered {
-                exhausted_searches: exhausted,
-            };
+    }
+
+    /// The decision sequence of [`PreparedClause::covers`]; `None` as soon
+    /// as `subsumes` reports cancellation.
+    fn decide(
+        &self,
+        example: &GroundExample,
+        semantics: Semantics,
+        subsumes: &mut impl FnMut(&NumberedClause, &GroundClause) -> Option<bool>,
+    ) -> Option<bool> {
+        if subsumes(&self.numbered, &example.ground)? {
+            return Some(true);
         }
-        if self.repaired.is_empty() {
-            return CoverageOutcome::NotCovered {
-                exhausted_searches: exhausted,
-            };
-        }
-        for cr in self.numbered_repaired() {
-            let mut any = false;
+        let every = semantics == Semantics::Positive;
+        for cr in &self.numbered_repaired {
+            let mut some = false;
             for gr in &example.repaired {
-                if check!(decide(cr, gr)) {
-                    any = true;
+                if subsumes(cr, gr)? {
+                    some = true;
                     break;
                 }
             }
-            if !any {
-                return CoverageOutcome::NotCovered {
-                    exhausted_searches: exhausted,
-                };
+            if some != every {
+                return Some(some);
             }
         }
-        CoverageOutcome::Covered {
-            exhausted_searches: exhausted,
-        }
+        Some(every && !self.numbered_repaired.is_empty())
     }
 }
 
-/// Outcome of a controlled coverage test: the verdict plus how many of the
-/// underlying subsumption searches ran out of step budget (a budget-exhausted
-/// search acts as "no" for the verdict, exactly as in the uncontrolled path,
-/// but is counted so degraded answers are observable), or `Cancelled` when
-/// the cancel token fired mid-test.
+/// Which coverage definition [`PreparedClause::covers`] applies to the
+/// repaired clauses of a candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Semantics {
+    /// Definition 3.4: every repaired clause covers the example.
+    Positive,
+    /// Definition 3.6: some repaired clause covers the example.
+    Negative,
+}
+
+/// Outcome of a coverage test: the verdict plus how many of the underlying
+/// subsumption searches ran out of step budget (a budget-exhausted search
+/// acts as "no" for the verdict, but is counted so degraded answers are
+/// observable), or `Cancelled` when the cancel token fired mid-test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoverageOutcome {
     /// The clause covers the example.
@@ -378,120 +377,41 @@ impl CoverageEngine {
         &self.positives[index]
     }
 
-    /// Positive coverage (Definition 3.4): the clause covers `example` iff it
-    /// θ-subsumes the ground clause directly, or every one of its repaired
-    /// clauses subsumes some repaired version of the ground clause.
-    pub fn covers_positive(&self, prepared: &PreparedClause, example: &GroundExample) -> bool {
-        prepared.covers_ground(example, &self.config.subsumption)
-    }
-
-    /// Negative coverage (Definition 3.6): the clause covers `example` iff
-    /// some repaired clause of it subsumes some repaired version of the
-    /// ground clause (or the clause subsumes the ground clause directly).
-    pub fn covers_negative(&self, prepared: &PreparedClause, example: &GroundExample) -> bool {
-        if subsumes_numbered_decision(
-            prepared.numbered(),
-            &example.ground,
-            &self.config.subsumption,
-        )
-        .is_yes()
-        {
-            return true;
-        }
-        prepared.numbered_repaired().iter().any(|cr| {
-            example
-                .repaired
-                .iter()
-                .any(|gr| subsumes_numbered_decision(cr, gr, &self.config.subsumption).is_yes())
-        })
-    }
-
-    /// [`CoverageEngine::covers_positive`] under an explicit subsumption
-    /// config and cancel token — the serving-tier entry point, where the
-    /// per-call budget may tighten `max_steps` below the training config.
-    pub fn covers_positive_controlled(
-        &self,
-        prepared: &PreparedClause,
-        example: &GroundExample,
-        config: &dlearn_logic::SubsumptionConfig,
-        cancel: Option<&CancelToken>,
-    ) -> CoverageOutcome {
-        prepared.covers_ground_controlled(example, config, cancel)
-    }
-
-    /// Coverage mask over the positive training examples.
+    /// Coverage mask over the positive training examples (Definition 3.4).
     pub fn positive_mask(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, true, self.config.effective_threads())
+        self.mask(prepared, Semantics::Positive)
     }
 
-    /// Coverage mask over the negative training examples.
+    /// Coverage mask over the negative training examples (Definition 3.6).
     pub fn negative_mask(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, false, self.config.effective_threads())
+        self.mask(prepared, Semantics::Negative)
     }
 
-    /// [`CoverageEngine::positive_mask`] on one thread, for callers that are
-    /// themselves a parallel fan-out (the FOIL/TILDE candidate scorers, like
-    /// [`CoverageEngine::score_serial`] for generalization scoring) — the
-    /// per-mask threads must not multiply underneath the fan-out.
-    pub fn positive_mask_serial(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, true, 1)
-    }
-
-    /// [`CoverageEngine::negative_mask`] on one thread; see
-    /// [`CoverageEngine::positive_mask_serial`].
-    pub fn negative_mask_serial(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, false, 1)
-    }
-
-    fn mask(&self, prepared: &PreparedClause, positive: bool, threads: usize) -> Vec<bool> {
-        let examples = if positive {
-            &self.positives
-        } else {
-            &self.negatives
+    fn mask(&self, prepared: &PreparedClause, semantics: Semantics) -> Vec<bool> {
+        let examples = match semantics {
+            Semantics::Positive => &self.positives,
+            Semantics::Negative => &self.negatives,
         };
-        crate::par::chunked_map(examples, threads, 8, |_, e| {
-            if positive {
-                self.covers_positive(prepared, e)
-            } else {
-                self.covers_negative(prepared, e)
-            }
+        crate::par::chunked_map(examples, self.config.effective_threads(), 8, |_, e| {
+            prepared
+                .covers(e, semantics, &self.config.subsumption, None)
+                .verdict()
+                == Some(true)
         })
-    }
-
-    fn counts_with_threads(&self, prepared: &PreparedClause, threads: usize) -> CoverageCounts {
-        let positives = self
-            .mask(prepared, true, threads)
-            .iter()
-            .filter(|&&b| b)
-            .count();
-        let negatives = self
-            .mask(prepared, false, threads)
-            .iter()
-            .filter(|&&b| b)
-            .count();
-        CoverageCounts {
-            positives,
-            negatives,
-        }
     }
 
     /// Count coverage over both example sets.
     pub fn counts(&self, prepared: &PreparedClause) -> CoverageCounts {
-        self.counts_with_threads(prepared, self.config.effective_threads())
+        let covered = |mask: Vec<bool>| mask.into_iter().filter(|&b| b).count();
+        CoverageCounts {
+            positives: covered(self.positive_mask(prepared)),
+            negatives: covered(self.negative_mask(prepared)),
+        }
     }
 
     /// The clause score (covered positives minus covered negatives).
     pub fn score(&self, prepared: &PreparedClause) -> i64 {
         self.counts(prepared).score()
-    }
-
-    /// [`CoverageEngine::score`] without the per-mask thread fan-out. Callers
-    /// that already parallelize *over* scoring calls (the generalization
-    /// fan-out in the covering loop) use this so thread counts do not
-    /// multiply to cores². The counts — and therefore the score — are
-    /// identical at any thread count.
-    pub fn score_serial(&self, prepared: &PreparedClause) -> i64 {
-        self.counts_with_threads(prepared, 1).score()
     }
 }
 
@@ -562,8 +482,19 @@ mod tests {
             config: config(),
         };
         let prepared = comedy_clause();
-        assert!(engine.covers_positive(&prepared, &engine.positives[0]));
-        assert!(!engine.covers_negative(&prepared, &engine.negatives[0]));
+        let sub = &config().subsumption;
+        assert_eq!(
+            prepared
+                .covers(&engine.positives[0], Semantics::Positive, sub, None)
+                .verdict(),
+            Some(true)
+        );
+        assert_eq!(
+            prepared
+                .covers(&engine.negatives[0], Semantics::Negative, sub, None)
+                .verdict(),
+            Some(false)
+        );
         let counts = engine.counts(&prepared);
         assert_eq!(
             counts,

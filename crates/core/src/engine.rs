@@ -31,9 +31,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use dlearn_constraints::{enforce_md_best_match_with_index, minimal_cfd_repair, MdCatalog};
 use dlearn_logic::{Clause, Definition};
 use dlearn_relstore::{Database, Tuple};
@@ -41,7 +38,7 @@ use dlearn_similarity::{IndexConfig, SimilarityOperator};
 
 use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
-use crate::coverage::{CoverageEngine, GroundExample, PreparedClause};
+use crate::coverage::{CoverageEngine, GroundExample, PreparedClause, Semantics};
 use crate::error::DlearnError;
 use crate::learner::{augment_with_target, Strategy};
 use crate::task::LearningTask;
@@ -638,22 +635,21 @@ impl Predictor {
         example: &Tuple,
     ) -> GroundExample {
         let config = &self.plan.config;
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xdead_beef);
-        let (ground_clause, probes) = builder.build_probed(example, &mut rng);
-        let mut ground = GroundExample::from_clause(example.clone(), &ground_clause, config);
-        ground.probes = probes;
-        ground
+        GroundExample::build(builder, example, config, config.seed ^ 0xdead_beef)
     }
 
     fn predict_with(&self, builder: &BottomClauseBuilder<'_>, example: &Tuple) -> bool {
         if self.definition.is_empty() {
             return false;
         }
-        let config = &self.plan.config;
         let ground = self.ground_for_serving(builder, example);
-        self.prepared
-            .iter()
-            .any(|prepared| prepared.covers_ground(&ground, &config.subsumption))
+        let sub = &self.plan.config.subsumption;
+        self.prepared.iter().any(|prepared| {
+            prepared
+                .covers(&ground, Semantics::Positive, sub, None)
+                .verdict()
+                == Some(true)
+        })
     }
 }
 

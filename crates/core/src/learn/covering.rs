@@ -122,13 +122,11 @@ impl Refiner for CoveringRefiner {
 /// positive's ground bottom clause, expand/renumber the result, score it
 /// against the full training set — is independent across samples, so it fans
 /// out across `std::thread::scope` workers in contiguous chunks (the same
-/// order-preserving [`crate::par::chunked_map`] the coverage masks use).
-/// Workers score with [`CoverageEngine::score_serial`] so the per-mask
-/// coverage threads do not multiply underneath the fan-out (cores², with
-/// both knobs defaulting to available cores). The reduction is deterministic
-/// and matches the serial loop exactly: highest score wins, ties broken by
-/// the earliest sample position, so learned definitions are bit-identical at
-/// any thread count.
+/// order-preserving [`crate::par::chunked_map`] the coverage masks use; the
+/// masks a worker computes run on that worker). The reduction is
+/// deterministic and matches the serial loop exactly: highest score wins,
+/// ties broken by the earliest sample position, so learned definitions are
+/// bit-identical at any thread count.
 fn best_generalization(
     engine: &CoverageEngine,
     current: &Clause,
@@ -136,9 +134,7 @@ fn best_generalization(
     sample: &[usize],
     config: &LearnerConfig,
 ) -> Option<(i64, PreparedClause)> {
-    let threads = config.effective_generalization_threads();
-    let fanned_out = threads > 1 && sample.len() >= 2;
-    let scored = crate::par::chunked_map(sample, threads, 2, |_, &ei| {
+    let scored = crate::par::chunked_map(sample, config.effective_threads(), 2, |_, &ei| {
         let target_ground = &engine.positive(ei).ground;
         let candidate =
             generalize_prepared(current, current_numbered, target_ground, config.binding_cap)?;
@@ -146,12 +142,7 @@ fn best_generalization(
             return None;
         }
         let prepared = PreparedClause::prepare(candidate, config);
-        let score = if fanned_out {
-            engine.score_serial(&prepared)
-        } else {
-            engine.score(&prepared)
-        };
-        Some((score, prepared))
+        Some((engine.score(&prepared), prepared))
     });
 
     // First strict maximum in sample order — identical to the serial loop.

@@ -143,11 +143,10 @@ fn specialize(
             break;
         }
 
-        // Score every candidate literal: the same parallel fan-out (and the
-        // same serial-inside-fan-out masking) as generalization scoring.
-        let threads = config.effective_generalization_threads();
-        let fanned_out = threads > 1 && candidates.len() >= 2;
+        // Score every candidate literal: the same parallel fan-out as
+        // generalization scoring.
         let current_len = current.body.len();
+        let threads = config.effective_threads();
         let scored = crate::par::chunked_map(&candidates, threads, 2, |_, &index| {
             let mut keep = selected.clone();
             keep[index] = true;
@@ -158,17 +157,8 @@ fn specialize(
                 return None;
             }
             let prepared = PreparedClause::prepare(candidate.clone(), config);
-            let (pos, neg) = if fanned_out {
-                (
-                    engine.positive_mask_serial(&prepared),
-                    engine.negative_mask_serial(&prepared),
-                )
-            } else {
-                (
-                    engine.positive_mask(&prepared),
-                    engine.negative_mask(&prepared),
-                )
-            };
+            let pos = engine.positive_mask(&prepared);
+            let neg = engine.negative_mask(&prepared);
             let p1 = uncovered.iter().filter(|&&i| pos[i]).count();
             if p1 == 0 {
                 return None;

@@ -111,26 +111,14 @@ impl Refiner for TildeRefiner {
 
         // 2. Coverage masks per test, computed once: node splits below are
         // pure bit-mask counting. Same fan-out shape as generalization
-        // scoring (masks serial inside the fan-out).
-        let threads = config.effective_generalization_threads();
-        let fanned_out = threads > 1 && candidates.len() >= 2;
+        // scoring.
+        let threads = config.effective_threads();
         let tests: Vec<Test> = crate::par::chunked_map(&candidates, threads, 2, |_, test| {
             let prepared = PreparedClause::prepare(test.clone(), config);
-            let (pos, neg) = if fanned_out {
-                (
-                    engine.positive_mask_serial(&prepared),
-                    engine.negative_mask_serial(&prepared),
-                )
-            } else {
-                (
-                    engine.positive_mask(&prepared),
-                    engine.negative_mask(&prepared),
-                )
-            };
             Test {
                 clause: test.clone(),
-                pos,
-                neg,
+                pos: engine.positive_mask(&prepared),
+                neg: engine.negative_mask(&prepared),
             }
         });
 

@@ -87,7 +87,7 @@ pub use coalesce::{CoalesceConfig, CoalesceMetrics, Coalescer};
 pub use config::LearnerConfig;
 pub use coverage::{
     CoverageCounts, CoverageEngine, CoverageOutcome, GroundExample, GroundPatchStats,
-    PreparedClause,
+    PreparedClause, Semantics,
 };
 pub use delta::DeltaReport;
 pub use engine::{ClauseStats, Engine, Learned, Predictor};

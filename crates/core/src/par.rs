@@ -1,16 +1,28 @@
-//! Order-preserving chunked parallel map, shared by the coverage engine and
-//! the covering loop's generalization fan-out.
+//! Order-preserving chunked parallel map: the one fan-out of grounding,
+//! coverage masks, the learners' candidate scoring and batch serving.
 //!
 //! Determinism lives here: items are split into contiguous chunks, each
 //! chunk is mapped on one `std::thread::scope` worker, and the per-chunk
 //! results are concatenated in chunk order — so the output is always
 //! element-for-element identical to the serial map, at any thread count.
+//!
+//! Fan-outs do not nest: a map called from inside a worker of another map
+//! runs serially on that worker. A learner scoring candidates in parallel
+//! therefore computes each candidate's coverage masks on one thread, while
+//! a mask computed outside any fan-out still spreads across the threads.
+
+use std::cell::Cell;
+
+thread_local! {
+    /// Set on every [`chunked_map`] worker thread.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Map `f` over `items`, fanning out across at most `threads` scoped worker
 /// threads in contiguous chunks. `f` receives each item's global index.
-/// Runs serially when `threads <= 1` or there are fewer than `min_items`
-/// items (not worth the spawn overhead). The result order always matches
-/// `items` order.
+/// Runs serially when `threads <= 1`, when there are fewer than `min_items`
+/// items (not worth the spawn overhead), or when called from inside another
+/// map's worker. The result order always matches `items` order.
 pub(crate) fn chunked_map<T, R, F>(items: &[T], threads: usize, min_items: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -18,7 +30,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let threads = threads.min(items.len().max(1));
-    if threads <= 1 || items.len() < min_items {
+    if threads <= 1 || items.len() < min_items || IN_WORKER.with(Cell::get) {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = items.len().div_ceil(threads);
@@ -34,6 +46,7 @@ where
             #[cfg(feature = "fault-injection")]
             let plan = &plan;
             handles.push(scope.spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
                 #[cfg(feature = "fault-injection")]
                 let _plan = plan.enter();
                 chunk_items
@@ -128,6 +141,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_map_inside_a_worker_runs_on_that_worker() {
+        let outer: Vec<u32> = (0..4).collect();
+        let inner: Vec<u32> = (0..16).collect();
+        let ids = chunked_map(&inner, 4, 0, |_, _| std::thread::current().id());
+        assert!(
+            ids.iter().any(|id| *id != ids[0]),
+            "a top-level map must fan out"
+        );
+        let nested = chunked_map(&outer, 4, 0, |_, _| {
+            let caller = std::thread::current().id();
+            chunked_map(&inner, 4, 0, |_, _| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == caller)
+        });
+        assert_eq!(nested, vec![true; 4]);
     }
 
     #[test]

@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 use dlearn_logic::CancelToken;
 use dlearn_relstore::Tuple;
 
-use crate::coverage::{CoverageOutcome, GroundExample};
+use crate::coverage::{CoverageOutcome, GroundExample, Semantics};
 use crate::engine::Predictor;
 use crate::error::DlearnError;
 use crate::fault;
@@ -819,7 +819,7 @@ impl PredictorService {
         let mut covered = false;
         let mut exhausted: u32 = 0;
         for prepared in &model.predictor.prepared {
-            match prepared.covers_ground_controlled(&ground, &sub, cancel.as_ref()) {
+            match prepared.covers(&ground, Semantics::Positive, &sub, cancel.as_ref()) {
                 CoverageOutcome::Cancelled => {
                     self.counters
                         .deadline_exceeded

@@ -41,6 +41,8 @@ pub fn inject_cfd_violations(
         let mut ids: Vec<usize> = (0..n).collect();
         ids.shuffle(rng);
         ids.truncate(count);
+        // New rows are inserted after the loop, so the domain is fixed.
+        let domain = relation.distinct_values(rhs_index);
         let mut new_rows = Vec::new();
         for id in ids {
             let Some(tuple) = relation.tuple(id) else {
@@ -48,10 +50,7 @@ pub fn inject_cfd_violations(
             };
             let mut dirty = tuple.clone();
             let current = dirty.value(rhs_index).cloned().unwrap_or(Value::Null);
-            dirty.set_value(
-                rhs_index,
-                perturb_value(&current, relation.distinct_values(rhs_index), rng),
-            );
+            dirty.set_value(rhs_index, perturb_value(&current, &domain, rng));
             new_rows.push(dirty);
         }
         let name = cfd.relation;
@@ -66,8 +65,8 @@ pub fn inject_cfd_violations(
 
 /// Produce a value different from `current`, preferring another value already
 /// present in the column's domain.
-fn perturb_value(current: &Value, domain: Vec<&Value>, rng: &mut StdRng) -> Value {
-    let alternatives: Vec<&&Value> = domain.iter().filter(|v| *v != &current).collect();
+fn perturb_value(current: &Value, domain: &[&Value], rng: &mut StdRng) -> Value {
+    let alternatives: Vec<&&Value> = domain.iter().filter(|v| **v != current).collect();
     if !alternatives.is_empty() && rng.gen_bool(0.7) {
         return *(*alternatives[rng.gen_range(0..alternatives.len())]);
     }
@@ -140,7 +139,7 @@ mod tests {
         for _ in 0..20 {
             let domain_owned = [Value::int(1991), Value::int(1992)];
             let domain: Vec<&Value> = domain_owned.iter().collect();
-            assert_ne!(perturb_value(&original, domain, &mut rng), original);
+            assert_ne!(perturb_value(&original, &domain, &mut rng), original);
         }
     }
 }

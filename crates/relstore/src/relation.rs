@@ -122,20 +122,30 @@ impl Relation {
         Ok(self.select_eq(idx, value))
     }
 
-    /// Distinct values appearing in an attribute column.
+    /// Distinct values appearing in an attribute column, in ascending
+    /// [`Value`] order. The order is fixed so that callers indexing into the
+    /// list with a seeded RNG (violation injection) produce the same data in
+    /// every process; the hash index alone iterates in a per-map random order.
     pub fn distinct_values(&self, attribute: usize) -> Vec<&Value> {
-        self.indexes
+        let mut values: Vec<&Value> = self
+            .indexes
             .get(attribute)
             .map(|idx| idx.keys().collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        values.sort_unstable();
+        values
     }
 
-    /// All (value, count) pairs of an attribute column.
+    /// All (value, count) pairs of an attribute column, in ascending
+    /// [`Value`] order (see [`Relation::distinct_values`]).
     pub fn value_counts(&self, attribute: usize) -> Vec<(&Value, usize)> {
-        self.indexes
+        let mut counts: Vec<(&Value, usize)> = self
+            .indexes
             .get(attribute)
             .map(|idx| idx.iter().map(|(v, ids)| (v, ids.len())).collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        counts.sort_unstable();
+        counts
     }
 
     /// Replace the value of `attribute` in the tuple `id`, keeping indexes
@@ -348,10 +358,39 @@ mod tests {
             Value::int(2001),
         ]))
         .unwrap();
-        let mut counts = r.value_counts(1);
-        counts.sort_by_key(|(_, c)| *c);
+        let counts = r.value_counts(1);
         assert_eq!(counts.len(), 1);
         assert_eq!(counts[0].1, 2);
         assert_eq!(r.distinct_values(2).len(), 2);
+    }
+
+    #[test]
+    fn distinct_values_come_in_value_order() {
+        let mut r = rel();
+        for (id, name) in [(3, "c"), (1, "a"), (2, "b"), (4, "a")] {
+            r.insert(tuple(vec![Value::int(id), Value::str(name), Value::int(0)]))
+                .unwrap();
+        }
+        assert_eq!(
+            r.distinct_values(0),
+            vec![
+                &Value::int(1),
+                &Value::int(2),
+                &Value::int(3),
+                &Value::int(4)
+            ]
+        );
+        assert_eq!(
+            r.distinct_values(1),
+            vec![&Value::str("a"), &Value::str("b"), &Value::str("c")]
+        );
+        assert_eq!(
+            r.value_counts(1),
+            vec![
+                (&Value::str("a"), 2),
+                (&Value::str("b"), 1),
+                (&Value::str("c"), 1)
+            ]
+        );
     }
 }

@@ -4,9 +4,10 @@
 //! uses the operator defined as the average of the Smith-Waterman-Gotoh and
 //! the Length similarity functions."*
 
-use crate::length::{length_similarity, length_similarity_from_counts};
-use crate::sw_gotoh::{swg_similarity_with, SwgParams, ABANDON_SLACK};
-use crate::sw_kernel::{aligned_match_upper_bound, swg_similarity_banded_at_least, SimProfile};
+use crate::length::length_similarity_from_counts;
+use crate::sw_kernel::{
+    aligned_match_upper_bound, swg_similarity_banded_at_least, SimProfile, SwgParams, ABANDON_SLACK,
+};
 
 /// A configurable string-similarity operator with a decision threshold.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,11 +41,12 @@ impl SimilarityOperator {
         }
     }
 
-    /// Combined similarity score of two strings in `[0, 1]`.
+    /// Combined similarity score of two strings in `[0, 1]`: the average of
+    /// the Smith-Waterman-Gotoh and length similarities of their normalized
+    /// forms.
     pub fn score(&self, a: &str, b: &str) -> f64 {
-        let swg = swg_similarity_with(a, b, &self.swg);
-        let len = length_similarity(a, b);
-        (swg + len) / 2.0
+        self.score_profiles_at_least(&SimProfile::new(a), &SimProfile::new(b), f64::NEG_INFINITY)
+            .expect("no requirement, so the kernel never abandons")
     }
 
     /// The `≈` predicate: whether two strings are similar under the
@@ -137,12 +139,11 @@ impl SimilarityOperator {
         (swg_bound + length_similarity_from_counts(left_len, right_len)) / 2.0
     }
 
-    /// The profile-to-profile hot path of index construction: the
-    /// bit-parallel match bound gates the pair, then the **banded** exact
-    /// dynamic program scores it. `None` means the combined score is
-    /// strictly below `required`; a `Some` score is bit-identical to
-    /// [`Self::score`] on the strings the profiles were built from (the band
-    /// and the gate only ever drop pairs that provably fall short). Index
+    /// The combined score of two profiles, behind the bit-parallel match
+    /// bound and the **banded** exact dynamic program. `None` means the
+    /// combined score is strictly below `required`; a `Some` score is the
+    /// exact score of the strings the profiles were built from (the band and
+    /// the gate only ever drop pairs that provably fall short). Index
     /// construction passes the running k-th score as `required`, so hopeless
     /// candidates pay for a prefix of the dynamic program instead of all of
     /// it. Pass `f64::NEG_INFINITY` to never abandon.
@@ -172,23 +173,19 @@ impl SimilarityOperator {
     }
 }
 
-/// Convenience free function using the default operator.
-pub fn combined_similarity(a: &str, b: &str) -> f64 {
-    SimilarityOperator::default().score(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn identical_strings_have_score_one() {
-        assert_eq!(combined_similarity("Superbad", "Superbad"), 1.0);
+        let op = SimilarityOperator::default();
+        assert_eq!(op.score("Superbad", "Superbad"), 1.0);
     }
 
     #[test]
     fn substring_with_extra_tokens_scores_between_swg_and_one() {
-        let s = combined_similarity("Superbad", "Superbad (2007)");
+        let s = SimilarityOperator::default().score("Superbad", "Superbad (2007)");
         assert!(s > 0.7 && s < 1.0, "score {s}");
     }
 
@@ -429,57 +426,6 @@ mod tests {
                 op.max_score_bound_with_common(ll, rl, common),
                 op.score_bound_from_matches(ll, rl, common as f64),
                 "({ll}, {rl}, {common})"
-            );
-        }
-    }
-
-    #[test]
-    fn profile_path_matches_the_string_path() {
-        // The full kernel chain (bit-parallel gate + banded DP) against the
-        // string-path score (scalar DP), on seeded random pairs and random
-        // requirements:
-        // completed runs are bit-identical, abandons only hide scores that
-        // are truly below the requirement.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9f11);
-        let alphabet = "abcdefgh 129";
-        let op = SimilarityOperator::default();
-        for _ in 0..600 {
-            let mut s = |max_len: usize| -> String {
-                let len = rng.gen_range(0..max_len + 1);
-                (0..len)
-                    .map(|_| alphabet.as_bytes()[rng.gen_range(0..alphabet.len())] as char)
-                    .collect()
-            };
-            let a = s(24);
-            let b = s(24);
-            let pa = crate::sw_kernel::SimProfile::new(&a);
-            let pb = crate::sw_kernel::SimProfile::new(&b);
-            let exact = op.score(&a, &b);
-            let required = rng.gen_range(0.0..1.2);
-            match op.score_profiles_at_least(&pa, &pb, required) {
-                Some(v) => assert_eq!(v, exact, "({a:?}, {b:?}, required {required})"),
-                None => assert!(
-                    exact < required,
-                    "kernel abandoned ({a:?}, {b:?}) at {required} but exact is {exact}"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn profile_path_without_requirement_never_abandons() {
-        let op = SimilarityOperator::default();
-        for (a, b) in [("Superbad", "Superbad (2007)"), ("", ""), ("?!|", "x")] {
-            let (pa, pb) = (
-                crate::sw_kernel::SimProfile::new(a),
-                crate::sw_kernel::SimProfile::new(b),
-            );
-            assert_eq!(
-                op.score_profiles_at_least(&pa, &pb, f64::NEG_INFINITY),
-                Some(op.score(a, b)),
-                "({a:?}, {b:?})"
             );
         }
     }

@@ -32,13 +32,13 @@
 //!   displace anything and the rest of the list is abandoned.
 //! * **Bit-parallel gate + banded kernel** — candidates that survive the
 //!   bounds are scored through
-//!   [`SimilarityOperator::score_profiles_at_least`]: a Myers-style
-//!   bit-parallel pass bounds the achievable matches (order-aware, so much
-//!   tighter than the histogram on anagram-ish pairs), then the exact SWG
-//!   dynamic program runs *banded*, skipping cells too far off-diagonal to
-//!   reach the requirement. Both steps are lossless: completed scores are
-//!   bit-identical to the scalar reference DP (`crate::sw_gotoh`), abandons
-//!   only hide pairs strictly below the running requirement.
+//!   [`SimilarityOperator::score_profiles_at_least`]: a bit-parallel LCS
+//!   pass bounds the achievable matches (order-aware, so much tighter than
+//!   the histogram on anagram-ish pairs), then the exact SWG dynamic
+//!   program runs *banded*, skipping cells too far off-diagonal to reach
+//!   the requirement. Both steps are lossless: completed scores are
+//!   bit-identical to the exhaustive DP, abandons only hide pairs strictly
+//!   below the running requirement.
 //! * **Parallel construction** — left values are split into contiguous
 //!   chunks mapped on `std::thread::scope` workers and merged in chunk
 //!   order, so the built index is bit-identical at any thread count.

@@ -1,9 +1,13 @@
-//! Bit-parallel prefilter and banded Smith-Waterman-Gotoh kernel.
+//! The Smith-Waterman-Gotoh similarity kernel: a bit-parallel prefilter
+//! and a banded dynamic program.
 //!
-//! The index hot path scores millions of candidate pairs; the scalar
-//! dynamic program in [`crate::sw_gotoh`] pays `O(|a| · |b|)` per pair.
-//! This module cuts that two compounding ways, both *lossless* with respect
-//! to the scalar reference:
+//! The paper's similarity operator uses the Smith-Waterman-Gotoh function
+//! (local alignment with affine gap penalties, Gotoh 1982) over normalized
+//! strings, with the best local score divided by `match_score · min(|a|,
+//! |b|)`, the most the shorter string can score. The index hot path scores
+//! millions of candidate pairs, and the plain three-matrix (`H`, `E`, `F`)
+//! dynamic program pays `O(|a| · |b|)` per pair. This module cuts that two
+//! compounding ways, both *lossless*:
 //!
 //! 1. **Bit-parallel match bound** — each value's normalized chars are
 //!    packed once into per-bin `u64` position masks ([`SimProfile`]).
@@ -13,10 +17,7 @@
 //!    pairs form a common subsequence, so `matches ≤ LCS_binned`, and the
 //!    lumped bins only *raise* the LCS — the sound direction. Candidates
 //!    whose resulting score bound cannot reach the running requirement are
-//!    dropped without touching the dynamic program. A Myers-style
-//!    bit-parallel edit-distance pass over the same masks
-//!    (`matches ≤ (|a| + |b| − D) / 2`) stays as the independently-derived
-//!    cross-check the property tests compare against.
+//!    dropped without touching the dynamic program.
 //! 2. **Banded exact DP** — a local alignment scoring `S` (raw) through a
 //!    cell on diagonal offset `d = j − i` matches at most
 //!    `Mcap(d) = min(|a|, |b|, |b| − d, |a| + d)` characters (the cell
@@ -29,25 +30,58 @@
 //!    `K = needed_raw / match_score`, widened by one diagonal on each side
 //!    so floating-point rounding can never clip a qualifying path.
 //!
-//! **Contract (the differential-reference discipline of PRs 1–4):** when
-//! the banded kernel returns `Some(score)`, that score is bit-identical to
-//! the exhaustive scalar DP — every path achieving the final best stays
-//! inside the band, where the recurrence computes the exact same IEEE-754
-//! operations on the exact same operands; out-of-band neighbors enter as
-//! the local-alignment floor (`H = 0`, gap states `−∞`), which only
-//! affects paths that provably score below the requirement. When it
-//! returns `None`, the true score is strictly below `required`. The scalar
-//! [`crate::sw_gotoh::swg_similarity_normalized_chars_at_least`] stays in
-//! the tree as the property-test reference (see the tests below and
-//! `crates/similarity/tests/index_oracle.rs`).
+//! **Contract:** when the banded kernel returns `Some(score)`, that score
+//! is bit-identical to the exhaustive DP — every path achieving the final
+//! best stays inside the band, where the recurrence computes the exact same
+//! IEEE-754 operations on the exact same operands; out-of-band neighbors
+//! enter as the local-alignment floor (`H = 0`, gap states `−∞`), which only
+//! affects paths that provably score below the requirement. When it returns
+//! `None`, the true score is strictly below `required`. With no requirement
+//! (`f64::NEG_INFINITY`) the band is the whole matrix and the kernel *is*
+//! the exhaustive DP. This is the only SWG dynamic program in the crate;
+//! the plain scalar DP it is checked against lives in
+//! `dlearn_test_support::swg_reference`, and
+//! `crates/similarity/tests/kernel_oracle.rs` holds the property tests.
 
 use crate::length::{char_bin, char_histogram, HIST_BINS};
-use crate::sw_gotoh::{SwgParams, ABANDON_SLACK};
 use crate::tokenize::normalize;
 
+/// Scoring parameters of the Smith-Waterman-Gotoh alignment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SwgParams {
+    /// Reward for two equal characters.
+    pub match_score: f64,
+    /// Penalty (negative contribution) for two different characters.
+    pub mismatch_score: f64,
+    /// Cost of opening a gap (subtracted when a gap starts).
+    pub gap_open: f64,
+    /// Cost of extending an existing gap by one character.
+    pub gap_extend: f64,
+}
+
+impl Default for SwgParams {
+    fn default() -> Self {
+        // The SimMetrics defaults used by Castor/DLearn-style systems:
+        // reward 1 for a match, -2 for a mismatch, affine gaps of 0.5 / 0.3.
+        SwgParams {
+            match_score: 1.0,
+            mismatch_score: -2.0,
+            gap_open: 0.5,
+            gap_extend: 0.3,
+        }
+    }
+}
+
+/// Safety slack of the early-abandon translation from a required
+/// *similarity* to a required *raw score*: the abandon test fires only when
+/// the final similarity is provably below `required` by more than this, so
+/// the handful of floating-point roundings between the two scales can never
+/// abandon a pair whose true score ties the requirement exactly.
+pub(crate) const ABANDON_SLACK: f64 = 1e-9;
+
 /// Longest normalized value (in chars) that gets a single-word bit-parallel
-/// mask. Longer values skip the Myers prefilter and rely on the histogram
-/// bound plus the banded DP alone.
+/// mask. Longer values skip the bit-parallel prefilter and rely on the
+/// histogram bound plus the banded DP alone.
 pub const MASK_MAX_LEN: usize = 64;
 
 /// A value's cached normalized form, computed once per value: the char
@@ -103,38 +137,6 @@ fn build_masks(chars: &[char]) -> Option<Box<[u64; HIST_BINS]>> {
     Some(masks)
 }
 
-/// Myers (1999) bit-parallel unit-cost edit distance between the masked
-/// pattern and `text`, over the lumped bin alphabet. `pattern_len` must be
-/// in `1..=64` (enforced by [`build_masks`]).
-fn myers_distance(masks: &[u64; HIST_BINS], pattern_len: usize, text: &[char]) -> u32 {
-    debug_assert!((1..=64).contains(&pattern_len));
-    let mut pv: u64 = if pattern_len == 64 {
-        u64::MAX
-    } else {
-        (1u64 << pattern_len) - 1
-    };
-    let mut mv: u64 = 0;
-    let mut dist = pattern_len as u32;
-    let high = 1u64 << (pattern_len - 1);
-    for &c in text {
-        let eq = masks[char_bin(c)];
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let ph = mv | !(xh | pv);
-        let mh = pv & xh;
-        if ph & high != 0 {
-            dist += 1;
-        } else if mh & high != 0 {
-            dist -= 1;
-        }
-        let ph = (ph << 1) | 1;
-        let mh = mh << 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
-    }
-    dist
-}
-
 /// Allison-Dix (1986) bit-parallel LCS length between the masked pattern
 /// and `text`, over the lumped bin alphabet. Bit `j` of `v` records a
 /// column where row `i` of the LCS table increments, so `popcount(v)` after
@@ -160,32 +162,17 @@ fn lcs_length(masks: &[u64; HIST_BINS], text: &[char]) -> u32 {
 /// Soundness: SWG matches require exact char equality, which implies
 /// bin-level equality, so the matched pairs form a common subsequence of
 /// the binned strings — `matches ≤ LCS_binned`. Lumping bins can only grow
-/// the LCS, i.e. only loosen the bound. This is always at least as tight
-/// as the Myers edit-distance bound `(|a| + |b| − D) / 2` (pinned by a test
-/// below), which is why the gate runs the LCS recurrence; `myers_distance`
-/// stays as the independently-derived cross-check.
+/// the LCS, i.e. only loosen the bound.
 pub fn aligned_match_upper_bound(a: &SimProfile, b: &SimProfile) -> Option<f64> {
     let (pattern, text) = if a.masks.is_some() { (a, b) } else { (b, a) };
     let masks = pattern.masks.as_deref()?;
     Some(lcs_length(masks, &text.chars) as f64)
 }
 
-/// The Myers edit-distance form of the match bound,
-/// `(|a| + |b| − D) / 2` — never tighter than
-/// [`aligned_match_upper_bound`] but derived through an independent
-/// recurrence, which is exactly what makes it a useful cross-check (the
-/// property tests assert `LCS bound ≤ Myers bound` on random inputs).
-pub fn myers_match_upper_bound(a: &SimProfile, b: &SimProfile) -> Option<f64> {
-    let (pattern, text) = if a.masks.is_some() { (a, b) } else { (b, a) };
-    let masks = pattern.masks.as_deref()?;
-    let d = myers_distance(masks, pattern.len(), &text.chars);
-    Some(((pattern.len() + text.len()) as f64 - d as f64) / 2.0)
-}
-
 /// Raw best local score over the banded dynamic program, abandoning when it
 /// provably cannot reach `needed_raw`. Returns `None` in that case;
-/// a `Some` value is bit-identical to the exhaustive scalar DP (see the
-/// module docs for the band argument).
+/// a `Some` value is bit-identical to the exhaustive DP (see the module
+/// docs for the band argument).
 fn banded_best_local_score_at_least(
     a: &[char],
     b: &[char],
@@ -365,12 +352,12 @@ fn banded_dp_loop(
     }
 }
 
-/// Banded counterpart of
-/// [`crate::sw_gotoh::swg_similarity_normalized_chars_at_least`]: gives up
-/// (returns `None`) as soon as the similarity provably cannot reach
-/// `required`, and otherwise returns the exact similarity, bit-identical to
-/// the scalar exhaustive DP. Pass `f64::NEG_INFINITY` to never abandon (the
-/// band then covers the whole matrix and this *is* the exhaustive DP).
+/// Normalized Smith-Waterman-Gotoh similarity in `[0, 1]` of two
+/// **already-normalized** char slices. Gives up (returns `None`) as soon as
+/// the similarity provably cannot reach `required`, and otherwise returns
+/// the exact similarity, bit-identical to the exhaustive DP. Pass
+/// `f64::NEG_INFINITY` to never abandon (the band then covers the whole
+/// matrix and this *is* the exhaustive DP).
 pub fn swg_similarity_banded_at_least(
     ca: &[char],
     cb: &[char],
@@ -390,8 +377,8 @@ pub fn swg_similarity_banded_at_least(
     // Identical-string fast path: dirty vocabularies carry many exact
     // duplicates across the two sides, and the full-diagonal all-match path
     // is optimal whenever only matches add score. With `match_score == 1.0`
-    // the scalar DP sums exact small integers, so its normalized result is
-    // exactly `1.0` — returning it directly preserves bit-identity.
+    // the DP sums exact small integers, so its normalized result is exactly
+    // `1.0` — returning it directly preserves bit-identity.
     if params.match_score == 1.0
         && params.mismatch_score <= 0.0
         && params.gap_open >= 0.0
@@ -412,100 +399,14 @@ pub fn swg_similarity_banded_at_least(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sw_gotoh::{
-        swg_similarity_normalized_chars, swg_similarity_normalized_chars_at_least,
-    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn chars(s: &str) -> Vec<char> {
-        normalize(s).chars().collect()
-    }
-
-    /// Reference unit-cost edit distance over binned chars, the textbook
-    /// O(nm) recurrence — independent of the bit-parallel code.
-    fn reference_binned_distance(a: &[char], b: &[char]) -> u32 {
-        let mut prev: Vec<u32> = (0..=b.len() as u32).collect();
-        let mut curr = vec![0u32; b.len() + 1];
-        for (i, &ca) in a.iter().enumerate() {
-            curr[0] = i as u32 + 1;
-            for (j, &cb) in b.iter().enumerate() {
-                let sub = prev[j] + u32::from(char_bin(ca) != char_bin(cb));
-                curr[j + 1] = sub.min(prev[j + 1] + 1).min(curr[j] + 1);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[b.len()]
-    }
 
     fn random_chars(rng: &mut StdRng, alphabet: &str, max_len: usize) -> Vec<char> {
         let len = rng.gen_range(0..max_len + 1);
         (0..len)
             .map(|_| alphabet.as_bytes()[rng.gen_range(0..alphabet.len())] as char)
             .collect()
-    }
-
-    #[test]
-    fn myers_distance_matches_the_reference_dp() {
-        let mut rng = StdRng::seed_from_u64(0x4d79);
-        let alphabet = "abcdef 19";
-        for _ in 0..600 {
-            let a = random_chars(&mut rng, alphabet, 40);
-            let b = random_chars(&mut rng, alphabet, 40);
-            if a.is_empty() || a.len() > MASK_MAX_LEN {
-                continue;
-            }
-            let masks = build_masks(&a).expect("in range");
-            assert_eq!(
-                myers_distance(&masks, a.len(), &b),
-                reference_binned_distance(&a, &b),
-                "({a:?}, {b:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn myers_distance_handles_the_64_char_edge() {
-        let a: Vec<char> = std::iter::repeat_n('a', 64).collect();
-        let mut b = a.clone();
-        b[63] = 'b';
-        let masks = build_masks(&a).expect("64 chars still masked");
-        assert_eq!(myers_distance(&masks, 64, &a), 0);
-        assert_eq!(myers_distance(&masks, 64, &b), 1);
-        let too_long: Vec<char> = std::iter::repeat_n('a', 65).collect();
-        assert!(build_masks(&too_long).is_none());
-        assert!(build_masks(&[]).is_none());
-    }
-
-    #[test]
-    fn match_upper_bound_is_sound_against_the_exact_swg() {
-        // The bound caps the number of matched chars in any alignment, so
-        // raw_swg ≤ match_score · bound and the normalized similarity is at
-        // most bound / min_len — on every random pair.
-        let mut rng = StdRng::seed_from_u64(0xb17b);
-        let params = SwgParams::default();
-        let alphabet = "abcab 1";
-        for _ in 0..600 {
-            let a = random_chars(&mut rng, alphabet, 30);
-            let b = random_chars(&mut rng, alphabet, 30);
-            if a.is_empty() || b.is_empty() {
-                continue;
-            }
-            let pa = SimProfile::new(&a.iter().collect::<String>());
-            let pb = SimProfile::new(&b.iter().collect::<String>());
-            if pa.is_empty() || pb.is_empty() {
-                continue; // normalization may collapse an all-space draw
-            }
-            let Some(ub) = aligned_match_upper_bound(&pa, &pb) else {
-                continue;
-            };
-            let exact = swg_similarity_normalized_chars(&pa.chars, &pb.chars, &params);
-            let sim_bound = (ub / pa.len().min(pb.len()) as f64).min(1.0);
-            assert!(
-                exact <= sim_bound + 1e-12,
-                "({a:?}, {b:?}): exact {exact} above bound {sim_bound}"
-            );
-        }
     }
 
     /// Reference LCS length over binned chars, the textbook O(nm)
@@ -554,42 +455,9 @@ mod tests {
         assert_eq!(lcs_length(&masks, &a), 64);
         assert_eq!(lcs_length(&masks, &b), 63);
         assert_eq!(lcs_length(&masks, &[]), 0);
-    }
-
-    #[test]
-    fn lcs_bound_is_never_looser_than_the_myers_bound() {
-        // Two independently-derived upper bounds on the same quantity; the
-        // LCS one must dominate, which is why the gate runs it.
-        let mut rng = StdRng::seed_from_u64(0x1c52);
-        let alphabet = "abcab 1";
-        for _ in 0..600 {
-            let a = random_chars(&mut rng, alphabet, 40);
-            let b = random_chars(&mut rng, alphabet, 40);
-            let pa = SimProfile::new(&a.iter().collect::<String>());
-            let pb = SimProfile::new(&b.iter().collect::<String>());
-            let (Some(lcs), Some(myers)) = (
-                aligned_match_upper_bound(&pa, &pb),
-                myers_match_upper_bound(&pa, &pb),
-            ) else {
-                continue;
-            };
-            assert!(lcs <= myers + 1e-12, "({a:?}, {b:?}): {lcs} > {myers}");
-        }
-    }
-
-    #[test]
-    fn identical_strings_score_exactly_one_through_the_fast_path() {
-        // The fast path must agree with the exhaustive scalar DP bit for
-        // bit, including on strings long enough to skip the masks.
-        let params = SwgParams::default();
-        for s in ["superbad", "a", "the item number 17", &"xy".repeat(40)] {
-            let cs = chars(s);
-            assert_eq!(
-                swg_similarity_banded_at_least(&cs, &cs, &params, 0.9),
-                Some(1.0)
-            );
-            assert_eq!(swg_similarity_normalized_chars(&cs, &cs, &params), 1.0);
-        }
+        let too_long: Vec<char> = std::iter::repeat_n('a', 65).collect();
+        assert!(build_masks(&too_long).is_none());
+        assert!(build_masks(&[]).is_none());
     }
 
     #[test]
@@ -599,94 +467,5 @@ mod tests {
         assert!(!SimProfile::new(&"x".repeat(80)).has_masks());
         let exactly_64 = "ab".repeat(32);
         assert!(SimProfile::new(&exactly_64).has_masks());
-    }
-
-    /// The central kernel property: on random pairs and random requirements,
-    /// a completed banded run is bit-identical to the exhaustive scalar DP,
-    /// and an abandoned run only ever hides scores strictly below the
-    /// requirement. This is the same contract the scalar early-abandon path
-    /// pins against the exhaustive DP — the kernel chains onto it.
-    #[test]
-    fn banded_kernel_is_bit_identical_or_abandon_sound() {
-        let mut rng = StdRng::seed_from_u64(0xba2d);
-        let params = SwgParams::default();
-        let alphabet = "abcdef 19";
-        for case in 0..1500 {
-            let a = random_chars(&mut rng, alphabet, 24);
-            let b = random_chars(&mut rng, alphabet, 24);
-            let exact = swg_similarity_normalized_chars(&a, &b, &params);
-            let required = rng.gen_range(0.0..1.2);
-            match swg_similarity_banded_at_least(&a, &b, &params, required) {
-                Some(v) => assert_eq!(
-                    v, exact,
-                    "case {case}: banded completed with a different score \
-                     ({a:?}, {b:?}, required {required})"
-                ),
-                None => assert!(
-                    exact < required,
-                    "case {case}: banded abandoned ({a:?}, {b:?}) at required \
-                     {required} but exact is {exact}"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn banded_kernel_agrees_with_the_scalar_abandon_path() {
-        // Chain the two fallible paths against each other: whenever both
-        // complete they must agree bit for bit; they may disagree on *when*
-        // to abandon (the band is a stronger prune), never on values.
-        let mut rng = StdRng::seed_from_u64(0xc4a1);
-        let params = SwgParams::default();
-        for _ in 0..800 {
-            let a = random_chars(&mut rng, "abcd e2", 20);
-            let b = random_chars(&mut rng, "abcd e2", 20);
-            let required = rng.gen_range(0.0..1.1);
-            let scalar = swg_similarity_normalized_chars_at_least(&a, &b, &params, required);
-            let banded = swg_similarity_banded_at_least(&a, &b, &params, required);
-            if let (Some(s), Some(k)) = (scalar, banded) {
-                assert_eq!(s, k, "({a:?}, {b:?}, required {required})");
-            }
-        }
-    }
-
-    #[test]
-    fn unbounded_required_runs_the_full_matrix() {
-        // With nothing required the band covers everything: the kernel must
-        // return exactly the exhaustive similarity, never None.
-        let pairs = [
-            ("Superbad", "Superbad (2007)"),
-            ("Star Wars", "The Orphanage"),
-            ("abc", "xyz"),
-            ("", "abc"),
-            ("", ""),
-        ];
-        let params = SwgParams::default();
-        for (a, b) in pairs {
-            let (ca, cb) = (chars(a), chars(b));
-            assert_eq!(
-                swg_similarity_banded_at_least(&ca, &cb, &params, f64::NEG_INFINITY),
-                Some(swg_similarity_normalized_chars(&ca, &cb, &params)),
-                "({a:?}, {b:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn pathological_params_disable_the_band_not_the_answer() {
-        // A positive mismatch score breaks the band argument; the kernel
-        // must fall back to the full matrix and still return exact values.
-        let weird = SwgParams {
-            mismatch_score: 0.5,
-            ..SwgParams::default()
-        };
-        let (a, b) = (chars("abcdef"), chars("uvwxyz"));
-        let exact = swg_similarity_normalized_chars(&a, &b, &weird);
-        // The row-wise abandon test may still fire (gap costs stay
-        // non-negative), so either the exact value or a sound abandon.
-        match swg_similarity_banded_at_least(&a, &b, &weird, 0.9) {
-            Some(v) => assert_eq!(v, exact, "fallback must stay exact"),
-            None => assert!(exact < 0.9, "abandon must stay sound"),
-        }
     }
 }

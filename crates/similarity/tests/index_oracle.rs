@@ -2,10 +2,13 @@
 //! all-pairs reference index, on seeded dirty vocabularies.
 //!
 //! The oracle (`dlearn_test_support::index_oracle::ReferenceIndex`) scores
-//! every (left, right) pair — no blocking, no length filter, no top-k early
-//! exit, strictly serial. Equality with the production build therefore
-//! proves, per seeded case:
+//! every (left, right) pair with the exhaustive scalar alignment of
+//! `dlearn_test_support::swg_reference` — no blocking, no length filter, no
+//! top-k early exit, no band, strictly serial. Equality with the production
+//! build therefore proves, per seeded case:
 //!
+//! * the **banded kernel** and its bit-parallel gate return the scalar
+//!   score bit for bit on every stored pair;
 //! * the **length filter** never skips a pair whose true score reaches the
 //!   threshold (the `max_score_bound` inequality holds in floating point);
 //! * the **top-k early exit** never abandons a candidate that belongs in

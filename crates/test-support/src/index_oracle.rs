@@ -2,11 +2,13 @@
 //!
 //! The production [`dlearn_similarity::SimilarityIndex`] earns its speed
 //! three ways — token/trigram blocking, a length-derived score bound, and a
-//! top-k early exit — and builds in parallel. This reference does none of
-//! that: it scores **every** (left, right) pair with the operator, keeps
-//! pairs at or above the threshold, sorts by (score descending, value
-//! ascending) and truncates to `top_k`, mirroring the index's documented
-//! semantics with the dumbest possible implementation. The differential
+//! top-k early exit — and builds in parallel, scoring through the banded
+//! alignment kernel. This reference does none of that: it scores **every**
+//! (left, right) pair with the exhaustive scalar alignment of
+//! [`crate::swg_reference`], keeps pairs at or above the threshold, sorts by
+//! (score descending, value ascending) and truncates to `top_k`, mirroring
+//! the index's documented semantics with the dumbest possible
+//! implementation. The differential
 //! suite (`crates/similarity/tests/index_oracle.rs`) asserts the production
 //! build equals this oracle entry for entry on seeded dirty vocabularies,
 //! which proves no prune ever drops a pair that could reach the threshold.
@@ -15,6 +17,8 @@ use std::collections::BTreeMap;
 
 use dlearn_relstore::Sym;
 use dlearn_similarity::{IndexConfig, Match, SimilarityIndex};
+
+use crate::swg_reference;
 
 /// The oracle's view of a built index: per-side sorted entry lists, one
 /// `(value, matches)` pair per value with at least one stored match.
@@ -43,7 +47,7 @@ impl ReferenceIndex {
         for &l in &left {
             let mut matches: Vec<Match> = Vec::new();
             for &r in &right {
-                let score = config.operator.score(l.as_str(), r.as_str());
+                let score = swg_reference::combined_score(&config.operator, l.as_str(), r.as_str());
                 if score >= config.operator.threshold {
                     matches.push(Match { value: r, score });
                 }

@@ -25,6 +25,9 @@
 //!   (no blocking, no length filter, no early exit) that the similarity
 //!   crate's differential suite compares the production
 //!   `SimilarityIndex::build` against.
+//! * [`swg_reference`] — the plain scalar Smith-Waterman-Gotoh dynamic
+//!   program, the reference for the similarity crate's banded kernel and
+//!   the scorer of [`index_oracle`].
 //! * `fault` (feature `fault-injection`) — deterministic seeded injection
 //!   of panics, delays and forced budget exhaustion at named serving-tier
 //!   checkpoints, driving the service robustness suite.
@@ -45,6 +48,7 @@ pub mod index_oracle;
 pub mod oracle;
 pub mod string_reference;
 pub mod swap;
+pub mod swg_reference;
 pub mod vocab;
 
 pub use delta::{

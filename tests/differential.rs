@@ -15,12 +15,11 @@
 use rand::SeedableRng;
 
 use dlearn::core::{
-    BottomClauseBuilder, CoverageEngine, Engine, LearnerConfig, PreparedClause, Strategy,
+    BottomClauseBuilder, CoverageEngine, Engine, GroundExample, LearnerConfig, PreparedClause,
+    Semantics, Strategy,
 };
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
-use dlearn::logic::{
-    subsumes_numbered, subsumes_numbered_decision, Clause, GroundClause, SubsumptionConfig,
-};
+use dlearn::logic::{subsumes_numbered, Clause, GroundClause, SubsumptionConfig};
 use dlearn_constraints::MdCatalog;
 use dlearn_similarity::{IndexConfig, SimilarityOperator};
 use dlearn_test_support::{string_reference, OracleGround, StringGround};
@@ -33,8 +32,7 @@ fn config() -> LearnerConfig {
 }
 
 /// Coverage decision through the reference matcher, replicating
-/// `CoverageEngine::covers_positive` / `covers_negative` over pre-expanded
-/// repaired clauses.
+/// `PreparedClause::covers` over pre-expanded repaired clauses.
 fn reference_covers(
     prepared: &PreparedClause,
     ground: &Clause,
@@ -61,33 +59,14 @@ fn reference_covers(
     }
 }
 
-/// Flat-substitution coverage decision from prepared clauses (mirrors the
-/// engine's covers_* methods exactly: prepared-once variable numbering and
-/// the decision-only subsumption entry point, so both paths see exactly the
-/// same clause inputs).
+/// The production coverage decision.
 fn interned_covers(
     prepared: &PreparedClause,
-    ground: &GroundClause,
-    repaired_grounds: &[GroundClause],
-    positive_semantics: bool,
+    example: &GroundExample,
+    semantics: Semantics,
     sub: &SubsumptionConfig,
 ) -> bool {
-    if subsumes_numbered_decision(prepared.numbered(), ground, sub).is_yes() {
-        return true;
-    }
-    if prepared.repaired.is_empty() {
-        return false;
-    }
-    let one = |cr: &dlearn::logic::NumberedClause| {
-        repaired_grounds
-            .iter()
-            .any(|gr| subsumes_numbered_decision(cr, gr, sub).is_yes())
-    };
-    if positive_semantics {
-        prepared.numbered_repaired().iter().all(one)
-    } else {
-        prepared.numbered_repaired().iter().any(one)
-    }
+    prepared.covers(example, semantics, sub, None).verdict() == Some(true)
 }
 
 #[test]
@@ -139,15 +118,17 @@ fn movie_task_coverage_decisions_match_string_reference() {
     let mut compared = 0usize;
     let mut covered = 0usize;
     let mut verified_witnesses = 0usize;
-    for (examples, positive_semantics) in [(engine.positives(), true), (engine.negatives(), false)]
-    {
+    for (examples, semantics) in [
+        (engine.positives(), Semantics::Positive),
+        (engine.negatives(), Semantics::Negative),
+    ] {
+        let positive_semantics = semantics == Semantics::Positive;
         for ge in examples {
             let ground_clause = clause_of(&ge.ground);
             let repaired_clauses: Vec<Clause> = ge.repaired.iter().map(clause_of).collect();
             let oracle = OracleGround::new(&ground_clause);
             for prepared in &candidates {
-                let new_decision =
-                    interned_covers(prepared, &ge.ground, &ge.repaired, positive_semantics, &sub);
+                let new_decision = interned_covers(prepared, ge, semantics, &sub);
                 let old_decision = reference_covers(
                     prepared,
                     &ground_clause,
@@ -160,13 +141,7 @@ fn movie_task_coverage_decisions_match_string_reference() {
                     prepared.clause, ge.example
                 );
                 // Ordering must not change coverage decisions either.
-                let static_decision = interned_covers(
-                    prepared,
-                    &ge.ground,
-                    &ge.repaired,
-                    positive_semantics,
-                    &static_sub,
-                );
+                let static_decision = interned_covers(prepared, ge, semantics, &static_sub);
                 assert_eq!(
                     new_decision, static_decision,
                     "adaptive vs static coverage divergence for clause {} on example {}",

@@ -3,10 +3,11 @@
 //! construction), determinism across sessions, and single/batched
 //! prediction parity.
 
-use dlearn::core::{DlearnError, Engine, LearnerConfig, Strategy, TargetSpec};
+use dlearn::core::{DlearnError, Engine, LearnerConfig, PreparedClause, Strategy, TargetSpec};
 use dlearn::datagen::citations::{generate_citation_dataset, CitationConfig};
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
 use dlearn::datagen::products::{generate_product_dataset, ProductConfig};
+use dlearn::datagen::{generate_segment_dataset, SegmentConfig};
 use dlearn::relstore::{tuple, StoreError, Value};
 use dlearn_constraints::{Cfd, MatchingDependency};
 
@@ -203,5 +204,39 @@ fn every_strategy_is_deterministic_across_engines() {
             "{} differs between two engines over the same task",
             strategy.name()
         );
+    }
+}
+
+#[test]
+fn learned_clause_stats_equal_a_fresh_coverage_count() {
+    // DLearn, FOIL and TILDE search over the base plan, so each clause's
+    // reported training coverage must be exactly what the engine's coverage
+    // test counts for that clause. This pins that every learner decides
+    // coverage through the one `PreparedClause::covers`.
+    let tasks = [
+        generate_movie_dataset(&MovieConfig::tiny().with_violation_rate(0.1), 42).task,
+        generate_segment_dataset(&SegmentConfig::tiny(), 91).task,
+    ];
+    for task in tasks {
+        let engine = Engine::prepare(task, fast()).expect("valid task");
+        for strategy in [Strategy::DLearn, Strategy::Foil, Strategy::Tilde] {
+            let learned = engine.learn(strategy).expect("learn");
+            assert!(
+                !learned.clauses().is_empty(),
+                "{}: nothing learned; the check is vacuous",
+                strategy.name()
+            );
+            assert_eq!(learned.stats().len(), learned.clauses().len());
+            for (clause, stats) in learned.clauses().iter().zip(learned.stats()) {
+                let prepared = PreparedClause::prepare(clause.clone(), engine.config());
+                let counts = engine.coverage().counts(&prepared);
+                assert_eq!(
+                    (stats.positives_covered, stats.negatives_covered),
+                    (counts.positives, counts.negatives),
+                    "{}: stats of {clause} disagree with a recount",
+                    strategy.name()
+                );
+            }
+        }
     }
 }

@@ -25,16 +25,15 @@
 //! own candidate-scoring fan-outs (see
 //! `extension_learners_are_bit_identical_across_thread_counts`).
 
-use dlearn::core::{Engine, LearnerConfig, Predictor, Strategy};
+use dlearn::core::{Engine, LearnerConfig, Predictor, PreparedClause, Strategy};
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
 use dlearn::logic::Definition;
 use dlearn::relstore::Tuple;
 use dlearn::similarity::{IndexConfig, SimilarityIndex, SimilarityOperator};
 use dlearn_test_support::vocab::{dirty_vocabulary, VocabConfig};
 
-fn config(seed: u64, generalization_threads: usize, coverage_threads: usize) -> LearnerConfig {
+fn config(seed: u64, coverage_threads: usize) -> LearnerConfig {
     LearnerConfig {
-        generalization_threads,
         coverage_threads,
         seed,
         ..LearnerConfig::fast().with_iterations(4)
@@ -58,8 +57,8 @@ fn learn(task: &dlearn::core::LearningTask, config: LearnerConfig) -> Definition
 fn parallel_and_serial_generalization_learn_identical_definitions() {
     let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
     for seed in [7u64, 21, 42] {
-        let serial = learn(&dataset.task, config(seed, 1, 1));
-        let parallel = learn(&dataset.task, config(seed, 4, 1));
+        let serial = learn(&dataset.task, config(seed, 1));
+        let parallel = learn(&dataset.task, config(seed, 4));
         assert_eq!(
             serial, parallel,
             "seed {seed}: parallel generalization diverged from serial"
@@ -70,10 +69,10 @@ fn parallel_and_serial_generalization_learn_identical_definitions() {
 #[test]
 fn adaptive_ordering_learns_bit_identical_definitions_at_any_thread_count() {
     let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
-    let baseline = learn(&dataset.task, config(7, 1, 1));
+    let baseline = learn(&dataset.task, config(7, 1));
     for threads in [1usize, 2, 8] {
         for adaptive in [true, false] {
-            let cfg = config(7, threads, threads).with_adaptive_ordering(adaptive);
+            let cfg = config(7, threads).with_adaptive_ordering(adaptive);
             let definition = learn(&dataset.task, cfg);
             assert_eq!(
                 baseline, definition,
@@ -121,12 +120,9 @@ fn index_build_threads_do_not_change_the_learned_model() {
     // across index-build thread counts 1/2/8 × 2 seeds.
     let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
     for seed in [7u64, 21] {
-        let baseline = learn(&dataset.task, config(seed, 1, 1).with_index_threads(1));
+        let baseline = learn(&dataset.task, config(seed, 1).with_index_threads(1));
         for threads in [2usize, 8] {
-            let definition = learn(
-                &dataset.task,
-                config(seed, 1, 1).with_index_threads(threads),
-            );
+            let definition = learn(&dataset.task, config(seed, 1).with_index_threads(threads));
             assert_eq!(
                 baseline, definition,
                 "seed {seed}, index_threads={threads}: learned definition diverged"
@@ -149,14 +145,14 @@ fn extension_learners_are_bit_identical_across_thread_counts() {
     for task in [&movie.task, &segments.task] {
         for strategy in [Strategy::Foil, Strategy::Tilde] {
             for seed in [7u64, 21] {
-                let baseline = learn_with(task, config(seed, 1, 1), strategy);
+                let baseline = learn_with(task, config(seed, 1), strategy);
                 assert!(
                     !baseline.is_empty(),
                     "{} seed {seed}: learned nothing; the determinism check is vacuous",
                     strategy.name()
                 );
                 for threads in [2usize, 8] {
-                    let definition = learn_with(task, config(seed, threads, threads), strategy);
+                    let definition = learn_with(task, config(seed, threads), strategy);
                     assert_eq!(
                         baseline,
                         definition,
@@ -172,12 +168,31 @@ fn extension_learners_are_bit_identical_across_thread_counts() {
 #[test]
 fn parallel_coverage_masks_do_not_change_the_learned_model() {
     let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
-    let serial = learn(&dataset.task, config(7, 1, 1));
-    let threaded = learn(&dataset.task, config(7, 4, 4));
+    let serial = Engine::prepare(dataset.task.clone(), config(7, 1)).expect("valid task");
+    let threaded = Engine::prepare(dataset.task.clone(), config(7, 4)).expect("valid task");
+    let learned = serial.learn(Strategy::DLearn).expect("learn");
     assert_eq!(
-        serial, threaded,
-        "coverage/generalization threads changed the learned definition"
+        learned.definition(),
+        threaded
+            .learn(Strategy::DLearn)
+            .expect("learn")
+            .definition(),
+        "coverage threads changed the learned definition"
     );
+    assert!(!learned.clauses().is_empty(), "nothing learned; vacuous");
+    for clause in learned.clauses() {
+        let prepared = PreparedClause::prepare(clause.clone(), serial.config());
+        assert_eq!(
+            serial.coverage().positive_mask(&prepared),
+            threaded.coverage().positive_mask(&prepared),
+            "positive mask of {clause} differs across thread counts"
+        );
+        assert_eq!(
+            serial.coverage().negative_mask(&prepared),
+            threaded.coverage().negative_mask(&prepared),
+            "negative mask of {clause} differs across thread counts"
+        );
+    }
 }
 
 #[test]
@@ -197,8 +212,8 @@ fn predict_batch_is_bit_identical_across_thread_counts() {
         .collect();
     for seed in [7u64, 21] {
         let predictor_at = |threads: usize| -> Predictor {
-            let engine = Engine::prepare(dataset.task.clone(), config(seed, 1, threads))
-                .expect("valid task");
+            let engine =
+                Engine::prepare(dataset.task.clone(), config(seed, threads)).expect("valid task");
             let learned = engine.learn(Strategy::DLearn).expect("learn");
             engine.predictor(&learned).expect("bind predictor")
         };
@@ -253,8 +268,8 @@ fn delta_maintenance_is_bit_identical_across_thread_counts() {
             .cloned()
             .collect();
         let run = |threads: usize| -> (Definition, Vec<bool>) {
-            let mut engine = Engine::prepare(dataset.task.clone(), config(seed, threads, threads))
-                .expect("valid task");
+            let mut engine =
+                Engine::prepare(dataset.task.clone(), config(seed, threads)).expect("valid task");
             for tx in &script {
                 engine.apply_delta(tx).expect("apply_delta");
             }
@@ -315,7 +330,7 @@ fn deltas_interleaved_with_serving_keep_cache_on_off_parity() {
     let mut total_evictions = 0u64;
     for workers in [1usize, 2, 8] {
         let mut engine =
-            Engine::prepare(dataset.task.clone(), config(7, 1, workers)).expect("valid task");
+            Engine::prepare(dataset.task.clone(), config(7, workers)).expect("valid task");
         let learned = engine.learn(Strategy::DLearn).expect("learn");
         let cached = PredictorService::new(
             engine.predictor(&learned).expect("bind predictor"),

@@ -7,10 +7,12 @@
 
 #![cfg(feature = "fault-injection")]
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use dlearn::core::{
-    Budget, DlearnError, Engine, LearnerConfig, PredictorService, ServiceConfig, Strategy,
+    Budget, CoalesceConfig, Coalescer, DlearnError, Engine, LearnerConfig, PredictorService,
+    ServiceConfig, Strategy,
 };
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
 use dlearn::relstore::Tuple;
@@ -116,6 +118,35 @@ fn injected_grounding_panic_isolates_one_example_and_never_poisons_the_cache() {
             "workers={workers}: post-fault verdicts diverged from baseline"
         );
     }
+}
+
+#[test]
+fn injected_grounding_panic_through_the_coalescer_fails_only_its_tuple() {
+    // The batcher thread adopts the plan of the thread that built the
+    // coalescer, so a fault reaches the coalesced path too.
+    let fx = fixture();
+    let victim = fx.trace[1].clone();
+    let _guard =
+        fault::install(FaultPlan::new(42).on_key(Site::Grounding, &key_of(&victim), Fault::Panic));
+    let coalescer = Coalescer::new(Arc::new(service(&fx, 2)), CoalesceConfig::default());
+    for (i, tuple) in fx.trace.iter().enumerate() {
+        let result = coalescer.submit(tuple.clone());
+        if *tuple == victim {
+            let Err(DlearnError::WorkerPanicked { site, message }) = &result else {
+                panic!("victim did not fail typed: {result:?}");
+            };
+            assert_eq!(*site, "serve");
+            assert!(message.contains(fault::PANIC_MARKER), "{message}");
+        } else {
+            assert_eq!(
+                result.expect("healthy tuple failed").covered,
+                fx.baseline[i],
+                "neighbor verdict diverged at {i}"
+            );
+        }
+    }
+    assert!(fault::injected(Site::Grounding) >= 1);
+    assert!(coalescer.service().metrics().worker_panics >= 1);
 }
 
 #[test]
